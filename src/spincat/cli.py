@@ -9,6 +9,7 @@ otherwise stream the CSV to stdout.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -58,9 +59,37 @@ def parse_complex(text: str) -> complex:
     if cleaned in ("inf", "+inf", "infinity"):
         return complex(float("inf"), 0.0)
     try:
-        return complex(cleaned.replace("i", "j"))
+        value = complex(cleaned.replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
+    if cmath.isnan(value):
+        raise argparse.ArgumentTypeError(f"complex number {text!r} has a NaN part")
+    return value
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> list[int]:
@@ -71,10 +100,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _resolve_label(parser, args) -> StereoLabel:
@@ -150,8 +176,6 @@ def cmd_cat(parser, args) -> int:
 
 
 def cmd_noon(parser, args) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
     state = make_noon(args.n, omega=args.omega, gamma_choice=args.gamma_choice)
     fid, best_phi = noon_fidelity(state)
     meta = {"kind": "noon-pipeline", "n": str(args.n), "gamma_choice": args.gamma_choice}
@@ -200,6 +224,8 @@ def cmd_scan(parser, args) -> int:
         j_list = [HalfInteger(tj) for tj in args.twice_j_list]
     except ValueError as exc:
         parser.error(str(exc))
+    if args.gamma == 0 or math.isinf(abs(args.gamma)):
+        parser.error("the cat scan needs a finite nonzero gamma")
     rows = cat_scan(j_list, args.omega, gamma=args.gamma)
     return _write_csv(write_cat_scan_csv, rows, args.out, {"rows": len(rows)})
 
@@ -245,29 +271,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=parse_complex, default=None, help="stereographic label, e.g. 0+1i or inf")
 
     p = sub.add_parser("coherent", help="write a coherent state file")
-    p.add_argument("--twice-j", type=int, required=True)
+    p.add_argument("--twice-j", type=_int_at_least(0), required=True)
     add_label_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_coherent)
 
     p = sub.add_parser("cat", help="quarter-period evolve a coherent state and write it")
-    p.add_argument("--twice-j", type=int, required=True)
+    p.add_argument("--twice-j", type=_int_at_least(0), required=True)
     add_label_args(p)
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--omega", type=_finite_float, default=0.0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_cat)
 
     p = sub.add_parser("noon", help="run the full N00N pipeline")
-    p.add_argument("--n", type=int, required=True, help="total photon number")
-    p.add_argument("--omega", type=float, default=0.0)
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="total photon number")
+    p.add_argument("--omega", type=_finite_float, default=0.0)
     p.add_argument("--gamma-choice", choices=("i", "1"), default="i")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_noon)
 
     p = sub.add_parser("husimi", help="export an overlap-squared Bloch grid as CSV")
     p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--n-theta", type=int, default=61)
-    p.add_argument("--n-phi", type=int, default=120)
+    p.add_argument("--n-theta", type=_int_at_least(2), default=61)
+    p.add_argument("--n-phi", type=_int_at_least(1), default=120)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_husimi)
 
@@ -284,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_metrology)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
-    p.add_argument("--max-twice-j", type=int, default=60)
+    p.add_argument("--max-twice-j", type=_int_at_least(0), default=60)
     p.set_defaults(handler=cmd_verify)
 
     return parser

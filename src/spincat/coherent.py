@@ -95,8 +95,14 @@ def bloch_direction(label) -> BlochDirection:
     return BlochDirection(2.0 * math.atan(abs(label.gamma)), np.angle(label.gamma) % (2.0 * math.pi))
 
 
-def _sqrt_binomials(twice_j: int) -> np.ndarray:
-    return np.sqrt(np.array([math.comb(twice_j, k) for k in range(twice_j + 1)], dtype=float))
+def _binomial_weights(twice_j: int, half) -> np.ndarray:
+    """sqrt(C(2j,k)) cos(half)^(2j-k) sin(half)^k over k = 0..2j.
+
+    `half` is theta/2, a scalar or a column of them (one row each).
+    """
+    k = np.arange(twice_j + 1)
+    sqrt_binomials = np.sqrt(np.array([math.comb(twice_j, i) for i in range(twice_j + 1)], dtype=float))
+    return sqrt_binomials * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
 
 
 def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
@@ -112,10 +118,8 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     if label.at_pole:
         amps[-1] = 1.0
         return SpinState(j, amps)
-    half = math.atan(abs(label.gamma))
-    k = np.arange(tj + 1)
-    radial = _sqrt_binomials(tj) * math.cos(half) ** (tj - k) * math.sin(half) ** k
-    amps = radial * np.exp(1j * np.angle(label.gamma) * k)
+    radial = _binomial_weights(tj, math.atan(abs(label.gamma)))
+    amps = radial * np.exp(1j * np.angle(label.gamma) * np.arange(tj + 1))
     return SpinState(j, amps)
 
 
@@ -212,10 +216,8 @@ def husimi_grid(state: SpinState, n_theta: int, n_phi: int):
     tj = state.j.twice_value
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    k = np.arange(tj + 1)
-    half = thetas[:, None] / 2.0
-    radial = _sqrt_binomials(tj)[None, :] * np.cos(half) ** (tj - k) * np.sin(half) ** k
+    radial = _binomial_weights(tj, thetas[:, None] / 2.0)
     # <coh(theta,phi)|psi> = sum_k radial_k e^{-ik phi} psi_k
-    phase = np.exp(-1j * np.outer(k, phis)) * state.amplitudes[:, None]
+    phase = np.exp(-1j * np.outer(np.arange(tj + 1), phis)) * state.amplitudes[:, None]
     q = np.abs(radial @ phase) ** 2
     return thetas, phis, q

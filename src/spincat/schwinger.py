@@ -18,10 +18,7 @@ from .coherent import coherent_expansion
 from .dynamics import KerrHamiltonianSpec, quarter_period_evolve, rotate_x_quarter
 from .errors import InvalidN
 from .halfint import HalfInteger
-from .su2 import SpinState, _frozen_complex_array, expm_hermitian, jminus, jplus, jy, jz
-
-_NORM_SNAP = 1e-13
-_NORM_GATE = 1e-9
+from .su2 import SpinState, _unit_vector, expm_hermitian, jminus, jplus, jy, jz
 
 
 @dataclass(frozen=True)
@@ -35,14 +32,7 @@ class TwoModeState:
         if not isinstance(self.n_total, Integral) or self.n_total < 0:
             raise ValueError(f"n_total must be a non-negative integer, got {self.n_total!r}")
         object.__setattr__(self, "n_total", int(self.n_total))
-        arr = _frozen_complex_array(self.amplitudes, (self.n_total + 1,))
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > _NORM_GATE:
-            raise ValueError(f"state norm {nrm} is not 1 within {_NORM_GATE}")
-        if abs(nrm - 1.0) > _NORM_SNAP:
-            arr = arr / nrm
-            arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, self.n_total + 1))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,22 @@ def _frozen_complex_array(values, shape) -> np.ndarray:
     return arr
 
 
+def _unit_vector(values, dim: int) -> np.ndarray:
+    """Frozen copy of a length-`dim` unit vector; the one state validator.
+
+    Raises ValueError on a wrong length, non-finite entries, or a norm
+    further than _NORM_GATE from 1.
+    """
+    arr = _frozen_complex_array(values, (dim,))
+    nrm = float(np.linalg.norm(arr))
+    if abs(nrm - 1.0) > _NORM_GATE:
+        raise ValueError(f"state norm {nrm} is not 1 within {_NORM_GATE}")
+    if abs(nrm - 1.0) > _NORM_SNAP:
+        arr = arr / nrm
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SpinState:
     """Unit vector of amplitudes over |j,m>_z, ordered m = -j..+j."""
@@ -47,14 +63,7 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_complex_array(self.amplitudes, (self.j.dim,))
-        nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > _NORM_GATE:
-            raise ValueError(f"state norm {nrm} is not 1 within {_NORM_GATE}")
-        if abs(nrm - 1.0) > _NORM_SNAP:
-            arr = arr / nrm
-            arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
+        object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, self.j.dim))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spincat import HalfInteger, coherent_expansion
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state
 
@@ -34,6 +35,15 @@ def test_coherent_writes_expected_amplitudes(tmp_path, capsys):
     assert last_json(stdout)["twice_j"] == 2
     state = load_spin_state(out)
     assert np.allclose(state.amplitudes, [0.5, 1j / math.sqrt(2), -0.5], atol=1e-12)
+
+
+def test_negative_gamma_needs_equals_form(tmp_path, capsys):
+    # "--gamma -1.0+0.5i" reads as an option to argparse; "--gamma=..." does not.
+    out = tmp_path / "c.json"
+    rc, _, _ = run(capsys, "coherent", "--twice-j", "2", "--gamma=-1.0+0.5i", "--out", str(out))
+    assert rc == 0
+    expected = coherent_expansion(HalfInteger(2), -1.0 + 0.5j)
+    assert load_spin_state(out).amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 def test_coherent_theta_zero_hits_lowest_weight(tmp_path, capsys):
@@ -182,6 +192,27 @@ def test_verify_small_run_passes(capsys):
     assert info["passed"] is True
     assert info["sections"] >= 5
     assert "[PASS]" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coherent", "--twice-j", "-1", "--gamma", "1", "--out", "{dir}/o.json"),
+        ("coherent", "--twice-j", "2", "--gamma", "nan", "--out", "{dir}/o.json"),
+        ("noon", "--n", "4", "--omega", "nan", "--out", "{dir}/o.json"),
+        ("cat", "--twice-j", "4", "--gamma", "0+1i", "--omega", "inf", "--out", "{dir}/o.json"),
+        ("scan", "--twice-j-list", "2", "--omega", "nan"),
+        ("scan", "--twice-j-list", "2", "--gamma", "inf"),
+        ("husimi", "--in", "{dir}/s.json", "--n-theta", "1"),
+        ("husimi", "--in", "{dir}/s.json", "--n-phi", "0"),
+        ("verify", "--max-twice-j", "-5"),
+    ],
+)
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
+    # run() calls main directly, so an escaping exception fails the test
+    rc, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert rc == 2
+    assert "Traceback" not in err
 
 
 def test_usage_error_on_unknown_command(capsys):

@@ -72,6 +72,8 @@ def test_missing_file():
         lambda d: d["amplitudes"].__setitem__(0, [1.0]),
         lambda d: d["amplitudes"].__setitem__(0, ["x", 0.0]),
         lambda d: d.update(amplitudes=[[5.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        lambda d: d.update(twice_j=True, amplitudes=[[1.0, 0.0], [0.0, 0.0]]),
+        lambda d: d.update(schema_version=TWO_MODE_SCHEMA, n_total=True, amplitudes=[[1.0, 0.0], [0.0, 0.0]]),
     ],
 )
 def test_malformed_documents(tmp_path, mutate):
