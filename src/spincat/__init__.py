@@ -29,6 +29,7 @@ from .su2 import (
     jx,
     jy,
     jz,
+    rotate,
     weight_state,
 )
 from .coherent import (

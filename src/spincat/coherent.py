@@ -101,7 +101,11 @@ def _binomial_weights(twice_j: int, half) -> np.ndarray:
     `half` is theta/2, a scalar or a column of them (one row each).
     """
     k = np.arange(twice_j + 1)
-    sqrt_binomials = np.sqrt(np.array([math.comb(twice_j, i) for i in range(twice_j + 1)], dtype=float))
+    # Exact integers, each from the last: C(n, i+1) = C(n, i) (n - i) / (i + 1).
+    binomials = [1]
+    for i in range(twice_j):
+        binomials.append(binomials[-1] * (twice_j - i) // (i + 1))
+    sqrt_binomials = np.sqrt(np.array(binomials, dtype=float))
     return sqrt_binomials * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
 
 

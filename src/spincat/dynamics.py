@@ -10,6 +10,13 @@ cleared mod 2pi) splits into the equal-weight superposition
 Half-integer j does not fit this two-label form (the components come out
 rotated by pi/2 in phi instead); `cat_scan` measures that case rather than
 asserting it.
+
+The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
+multiplies amplitudes by phases, and `rotate_x_quarter` uses `su2.rotate`;
+neither builds a d x d complex unitary.  `quarter_period_unitary`, `x_rotation` and the
+conjugation route of `verify_rotated_identity` return or compose dense
+operators from `expm_hermitian`, the reference the state kernels are
+tested against.
 """
 from __future__ import annotations
 
@@ -21,8 +28,8 @@ import numpy as np
 
 from .coherent import CatDecomposition, as_label, coherent_expansion, overlap
 from .errors import HalfIntegerUnsupported, IrrepMismatch, ZeroSpin
-from .halfint import HalfInteger
-from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, weight_state
+from .halfint import HalfInteger, m_values
+from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, rotate, weight_state
 
 _OMEGA_GATE_TOL = 1e-9
 
@@ -65,12 +72,18 @@ def quarter_period_unitary(spec: KerrHamiltonianSpec) -> SpinOperator:
 
 
 def quarter_period_evolve(spec: KerrHamiltonianSpec, state: SpinState) -> SpinState:
-    """Evolve `state` for one quarter period under an axis-z spec."""
+    """Evolve `state` for one quarter period under an axis-z spec.
+
+    H is diagonal, h_m = omega m + (lambda/2j) m^2, so the evolution is
+    exp(-i h tau/4) applied elementwise.
+    """
     if spec.axis != "z":
         raise ValueError("quarter_period_evolve expects an axis-z spec")
     if state.j != spec.j:
         raise IrrepMismatch("state and Hamiltonian live in different irreps")
-    return quarter_period_unitary(spec).apply(state)
+    m = m_values(spec.j)
+    h = spec.omega * m + (spec.lam / spec.j.twice_value) * (m * m)
+    return SpinState(spec.j, np.exp(-1j * h * spec.quarter_period) * state.amplitudes)
 
 
 def _require_cleared_linear_phase(spec: KerrHamiltonianSpec):
@@ -199,7 +212,7 @@ def x_rotation(j: HalfInteger, angle: float) -> SpinOperator:
 
 def rotate_x_quarter(state: SpinState) -> SpinState:
     """Rotate a state by pi/2 about the x axis, exp(-i (pi/2) Jx)."""
-    return x_rotation(state.j, math.pi / 2.0).apply(state)
+    return rotate(state, "x", math.pi / 2.0)
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:

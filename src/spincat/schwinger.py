@@ -18,7 +18,14 @@ from .coherent import coherent_expansion
 from .dynamics import KerrHamiltonianSpec, quarter_period_evolve, rotate_x_quarter
 from .errors import InvalidN
 from .halfint import HalfInteger
-from .su2 import SpinState, _unit_vector, expm_hermitian, jminus, jplus, jy, jz
+from .su2 import SpinState, _unit_vector, jminus, jplus, jz, rotate
+
+
+def _size(value, least: int, error: type[Exception], what: str) -> int:
+    """`value` as an int >= least, else `error`; bool is refused though it is Integral."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -29,9 +36,7 @@ class TwoModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n_total, Integral) or self.n_total < 0:
-            raise ValueError(f"n_total must be a non-negative integer, got {self.n_total!r}")
-        object.__setattr__(self, "n_total", int(self.n_total))
+        object.__setattr__(self, "n_total", _size(self.n_total, 0, ValueError, "n_total"))
         object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, self.n_total + 1))
 
 
@@ -43,9 +48,7 @@ class NoonState:
     phase_phi: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n_total, Integral) or self.n_total < 1:
-            raise InvalidN(f"N must be a positive integer, got {self.n_total!r}")
-        object.__setattr__(self, "n_total", int(self.n_total))
+        object.__setattr__(self, "n_total", _size(self.n_total, 1, InvalidN, "N"))
 
     def to_two_mode(self) -> TwoModeState:
         amps = np.zeros(self.n_total + 1, dtype=np.complex128)
@@ -120,18 +123,17 @@ def make_noon(n_total: int, omega: float = 0.0, gamma_choice: str = "i") -> TwoM
     phase clears); odd N runs as an exploratory case and is simply
     measured by `noon_fidelity`.
     """
-    if not isinstance(n_total, Integral) or n_total < 1:
-        raise InvalidN(f"N must be a positive integer, got {n_total!r}")
+    n_total = _size(n_total, 1, InvalidN, "N")
     if gamma_choice not in ("i", "1"):
         raise ValueError(f"gamma_choice must be 'i' or '1', got {gamma_choice!r}")
-    j = HalfInteger(int(n_total))
+    j = HalfInteger(n_total)
     spec = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="z")
     gamma = 1j if gamma_choice == "i" else 1.0
     evolved = quarter_period_evolve(spec, coherent_expansion(j, gamma))
     if gamma_choice == "i":
         rotated = rotate_x_quarter(evolved)
     else:
-        rotated = expm_hermitian(jy(j), math.pi / 2.0).apply(evolved)
+        rotated = rotate(evolved, "y", math.pi / 2.0)
     return spin_to_fock(rotated)
 
 

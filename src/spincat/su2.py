@@ -1,4 +1,10 @@
-"""Angular-momentum matrices for a single spin-j representation.
+"""Angular-momentum matrices and rotations for a single spin-j representation.
+
+`rotate` turns a state about the x or y axis without building a d x d
+complex unitary: it diagonalizes the real tridiagonal Jx and applies phases in
+that eigenbasis.  `expm_hermitian` exponentiates any Hermitian generator
+densely; it serves the functions that return operators and is the
+reference the fast paths are tested against.
 
 Conventions used everywhere in this package:
 
@@ -123,11 +129,15 @@ def jz(j: HalfInteger) -> SpinOperator:
     return SpinOperator(j, np.diag(m_values(j)).astype(np.complex128))
 
 
+def _ladder(j: HalfInteger) -> np.ndarray:
+    """sqrt(j(j+1) - m(m+1)) for m = -j..j-1, the J+ entries below the diagonal."""
+    m = m_values(j)[:-1]
+    return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
+
+
 def jplus(j: HalfInteger) -> SpinOperator:
     """Raising operator; maps |j,m> to sqrt(j(j+1)-m(m+1)) |j,m+1>."""
-    jj1 = j.casimir_eigenvalue()
-    m = m_values(j)[:-1]
-    return SpinOperator(j, np.diag(np.sqrt(jj1 - m * (m + 1)), k=-1).astype(np.complex128))
+    return SpinOperator(j, np.diag(_ladder(j), k=-1).astype(np.complex128))
 
 
 def jminus(j: HalfInteger) -> SpinOperator:
@@ -152,8 +162,9 @@ def casimir(j: HalfInteger) -> SpinOperator:
 def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     """The unitary exp(-i H t) for a Hermitian generator H.
 
-    Computed by eigendecomposition, which keeps the result unitary to
-    rounding for the small dense matrices used here.
+    Computed by dense eigendecomposition, which keeps the result unitary
+    to rounding.  This is the reference route: `rotate` and the diagonal
+    twist in `dynamics` are tested against it.
 
     Raises NonHermitianInput if H fails the Hermiticity gate.
     """
@@ -163,6 +174,35 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     w, v = np.linalg.eigh(h.matrix)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return SpinOperator(h.j, u)
+
+
+# (-i)^k by k mod 4: Jy = D Jx D^dag with D = diag((-i)^k), k = j + m.
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
+    """exp(-i angle J_axis) |state> for axis 'x' or 'y'.
+
+    Uses the eigensystem (w, V) of the real tridiagonal Jx and returns
+    V (e^{-i angle w} * (V^T psi)); the y rotation conjugates it with
+    D = diag((-i)^k), exactly.  No d x d complex matrix is formed.
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    j = state.j
+    off = _ladder(j) / 2.0
+    w, v = np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    psi = state.amplitudes
+    if axis == "y":
+        d = _MINUS_I_POWERS[np.arange(j.dim) % 4]
+        psi = d.conj() * psi
+    # Real and imaginary parts separately: a real V never turns into a
+    # complex d x d copy.
+    c = np.exp(-1j * angle * w) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
+    out = v @ c.real + 1j * (v @ c.imag)
+    if axis == "y":
+        out = d * out
+    return SpinState(j, out)
 
 
 def expectation(op: SpinOperator, state: SpinState) -> complex:

@@ -27,6 +27,7 @@ from spincat import (
     stereographic,
     weight_state,
 )
+from spincat.coherent import _binomial_weights
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 small_twice_j = st.integers(min_value=0, max_value=20)
@@ -228,3 +229,13 @@ def test_husimi_values_match_overlaps():
         for ip in (0, 5):
             probe = coherent_expansion(j, stereographic(BlochDirection(thetas[it], phis[ip])))
             assert q[it, ip] == pytest.approx(abs(overlap(probe, state)) ** 2, abs=1e-13)
+
+
+@pytest.mark.parametrize("half", [0.7, np.array([[0.3], [0.9], [1.4]])], ids=["scalar", "column"])
+def test_binomial_weights_bit_identical_to_comb(half):
+    # 1029 is the largest 2j whose binomials all fit in a float.
+    for tj in sorted({*range(65), *range(0, 1030, 37), 1029}):
+        k = np.arange(tj + 1)
+        sqrt_binomials = np.sqrt(np.array([math.comb(tj, i) for i in range(tj + 1)], dtype=float))
+        want = sqrt_binomials * np.cos(half) ** (tj - k) * np.sin(half) ** k
+        assert np.array_equal(_binomial_weights(tj, half), want)

@@ -12,6 +12,7 @@ from spincat import (
     HalfIntegerUnsupported,
     IrrepMismatch,
     KerrHamiltonianSpec,
+    SpinState,
     ZeroSpin,
     cat_scan,
     coherent_expansion,
@@ -100,6 +101,20 @@ def test_quarter_evolution_is_phasewise_in_z_basis():
         s = coherent_expansion(j, 0.8 - 0.3j)
         out = quarter_period_evolve(KerrHamiltonianSpec(j), s)
         assert np.allclose(out.amplitudes, quarter_phase_factors(tj) * s.amplitudes, atol=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7, -2.0])
+@pytest.mark.parametrize("lam", [1.0, 1.3])
+def test_quarter_evolution_matches_dense_oracle(omega, lam):
+    rng = np.random.default_rng(5)
+    for tj in range(1, 62):
+        j = HalfInteger(tj)
+        spec = KerrHamiltonianSpec(j, omega=omega, lam=lam)
+        v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+        s = SpinState(j, v / np.linalg.norm(v))
+        fast = quarter_period_evolve(spec, s).amplitudes
+        dense = quarter_period_unitary(spec).apply(s).amplitudes
+        assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
 def test_quarter_evolution_spin_half_is_global_phase():

@@ -93,7 +93,7 @@ def test_make_noon_relative_phase_frozen():
         assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [2, 8, 20, 34])
+@pytest.mark.parametrize("n", [2, 8, 20, 34, 1000])
 def test_make_noon_even_fidelity_and_support(n):
     out = make_noon(n)
     fid, _ = noon_fidelity(out)
@@ -101,7 +101,7 @@ def test_make_noon_even_fidelity_and_support(n):
     assert off_support_mass(out) <= 1e-20
 
 
-@pytest.mark.parametrize("n", [2, 8, 20])
+@pytest.mark.parametrize("n", [2, 8, 20, 1000])
 def test_make_noon_gamma_one_variant(n):
     out = make_noon(n, gamma_choice="1")
     fid, _ = noon_fidelity(out)
@@ -124,6 +124,20 @@ def test_make_noon_validation():
         make_noon(-3)
     with pytest.raises(ValueError):
         make_noon(2, gamma_choice="q")
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: TwoModeState(True, [1, 0]), ValueError),
+        (lambda: NoonState(True), InvalidN),
+        (lambda: make_noon(True), InvalidN),
+    ],
+    ids=["TwoModeState", "NoonState", "make_noon"],
+)
+def test_bool_size_is_refused(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_noon_state_materializes_the_invariant():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from spincat import (
     jx,
     jy,
     jz,
+    rotate,
     weight_state,
 )
 
@@ -163,3 +168,36 @@ def test_weight_state_validation():
         weight_state(HalfInteger(2), 3)
     with pytest.raises(ValueError):
         weight_state(HalfInteger(3), 0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_rotate_matches_dense_oracle(axis):
+    rng = np.random.default_rng(4)
+    gen = jx if axis == "x" else jy
+    worst = 0.0
+    for tj in range(62):
+        j = HalfInteger(tj)
+        for angle in (math.pi / 2, 0.37, -1.3, 5.0):
+            v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+            s = SpinState(j, v / np.linalg.norm(v))
+            fast = rotate(s, axis, angle).amplitudes
+            dense = expm_hermitian(gen(j), angle).apply(s).amplitudes
+            worst = max(worst, float(np.max(np.abs(fast - dense))))
+    assert worst <= 1e-12
+
+
+def test_rotate_rejects_other_axes():
+    with pytest.raises(ValueError):
+        rotate(weight_state(HalfInteger(2), 0), "z", 1.0)
+
+
+def test_import_loads_no_scipy():
+    # spincat declares only numpy; importing scipy.linalg alone costs ~0.3 s
+    # of CPU at start-up.
+    import spincat
+
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, spincat, spincat.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
