@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 contract/self-check failure, 2 usage error,
 3 I/O error.  Machine-readable one-line JSON summaries go to stdout;
 human-readable logs go to stderr (ANSI styling only on a tty and when
 NO_COLOR is unset).  CSV-producing commands write to --out when given,
-otherwise stream the CSV to stdout.
+otherwise stream the CSV to stdout.  This is the one module that formats
+output: the library returns data, and every table is written here.
 """
 from __future__ import annotations
 
@@ -15,21 +16,17 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
-from .coherent import BlochDirection, StereoLabel, coherent_expansion, husimi_grid, stereographic
-from .dynamics import (
-    KerrHamiltonianSpec,
-    cat_scan,
-    fit_two_component,
-    quarter_period_evolve,
-    write_cat_scan_csv,
-)
+from .coherent import BlochDirection, StereoLabel, as_label, coherent_expansion, husimi_grid, stereographic
+from .dynamics import KerrHamiltonianSpec, cat_scan, fit_two_component, quarter_period_evolve
 from .errors import SpinCatError, StateFileError
 from .halfint import HalfInteger
-from .metrology import scaling_table, write_scaling_csv
+from .metrology import scaling_table
 from .schwinger import make_noon, noon_fidelity, off_support_mass
 from .statefile import load_spin_state, save_state
-from .verify import all_passed, format_table, run_suite, sections
+from .verify import all_passed, run_suite, sections
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -37,6 +34,10 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 NOON_SELF_CHECK = 1e-8
+
+# CSV cells are converted this many rows at a time, so a large grid never
+# holds all its cells as Python objects at once.
+CSV_BLOCK_ROWS = 4096
 
 
 def _eprint(msg: str):
@@ -92,15 +93,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _list_of(parse):
+    """argparse type: comma-separated values, blank entries skipped, each read by `parse`."""
 
+    def parse_list(text: str) -> list:
+        return [parse(tok) for tok in text.split(",") if tok.strip()]
 
-def _float_list(text: str) -> list[float]:
-    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+    return parse_list
 
 
 def _resolve_label(parser, args) -> StereoLabel:
@@ -109,8 +108,7 @@ def _resolve_label(parser, args) -> StereoLabel:
     if has_angles == has_gamma:
         parser.error("give exactly one of --theta [--phi] or --gamma")
     if has_gamma:
-        g = args.gamma
-        return StereoLabel.pole() if math.isinf(abs(g)) else StereoLabel.finite(g)
+        return as_label(args.gamma)
     try:
         return stereographic(BlochDirection(args.theta, args.phi))
     except ValueError as exc:
@@ -126,13 +124,30 @@ def _save(state, path, metadata) -> int:
     return EXIT_OK
 
 
-def _write_csv(writer, rows, out_path, summary: dict) -> int:
+def _csv_lines(header, columns):
+    """CSV lines of equal-length columns under `header`.
+
+    Each cell is the repr of a Python int or float (shortest round-trip
+    form) and each line ends in a bare newline; with no rows only the
+    header comes out.
+    """
+    yield ",".join(header) + "\n"
+    columns = [np.asarray(column) for column in columns]
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(start, start + CSV_BLOCK_ROWS)
+        for cells in zip(*(map(repr, column[block].tolist()) for column in columns)):
+            yield ",".join(cells) + "\n"
+
+
+def _write_csv(header, columns, out_path, summary: dict) -> int:
+    """Write the table to out_path, or to stdout when there is none."""
+    lines = _csv_lines(header, columns)
     if out_path is None:
-        writer(rows, sys.stdout)
+        sys.stdout.writelines(lines)
         return EXIT_OK
     try:
         with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer(rows, fh)
+            fh.writelines(lines)
     except OSError as exc:
         _eprint(f"cannot write {out_path}: {exc}")
         return EXIT_IO
@@ -204,46 +219,53 @@ def cmd_husimi(parser, args) -> int:
         _eprint(f"bad input state: {exc}")
         return EXIT_IO
     thetas, phis, grid = husimi_grid(state, args.n_theta, args.n_phi)
-
-    def writer(_rows, fh):
-        fh.write("theta,phi,q\n")
-        for it, theta in enumerate(thetas):
-            for ip, phi in enumerate(phis):
-                fh.write(f"{float(theta)!r},{float(phi)!r},{float(grid[it, ip])!r}\n")
-
     return _write_csv(
-        writer,
-        None,
+        ("theta", "phi", "q"),
+        (np.repeat(thetas, args.n_phi), np.tile(phis, args.n_theta), grid.ravel()),
         args.out,
         {"twice_j": state.j.twice_value, "n_theta": args.n_theta, "n_phi": args.n_phi, "q_max": float(grid.max())},
     )
 
 
 def cmd_scan(parser, args) -> int:
-    try:
-        j_list = [HalfInteger(tj) for tj in args.twice_j_list]
-    except ValueError as exc:
-        parser.error(str(exc))
     if args.gamma == 0 or math.isinf(abs(args.gamma)):
         parser.error("the cat scan needs a finite nonzero gamma")
-    rows = cat_scan(j_list, args.omega, gamma=args.gamma)
-    return _write_csv(write_cat_scan_csv, rows, args.out, {"rows": len(rows)})
+    rows = cat_scan([HalfInteger(tj) for tj in args.twice_j_list], args.omega, gamma=args.gamma)
+    plus = np.array([r.coeff_plus for r in rows], dtype=complex)
+    minus = np.array([r.coeff_minus for r in rows], dtype=complex)
+    return _write_csv(
+        ("twice_j", "omega", "fidelity", "coeff_plus_re", "coeff_plus_im", "coeff_minus_re", "coeff_minus_im"),
+        (
+            [r.twice_j for r in rows],
+            [r.omega for r in rows],
+            [r.fidelity for r in rows],
+            plus.real,
+            plus.imag,
+            minus.real,
+            minus.imag,
+        ),
+        args.out,
+        {"rows": len(rows)},
+    )
 
 
 def cmd_metrology(parser, args) -> int:
-    if any(n < 1 for n in args.n_list):
-        parser.error("--n-list entries must be >= 1")
     rows = scaling_table(args.n_list)
-    return _write_csv(write_scaling_csv, rows, args.out, {"rows": len(rows)})
+    fields = ("n_total", "delta_phi_noon", "delta_phi_sql_reference", "qfi")
+    return _write_csv(
+        ("N", *fields[1:]),
+        [[getattr(r, f) for r in rows] for f in fields],
+        args.out,
+        {"rows": len(rows)},
+    )
 
 
 def cmd_verify(parser, args) -> int:
     results = run_suite(max_twice_j=args.max_twice_j)
-    for line in format_table(results).splitlines():
-        if line.startswith("[PASS]"):
-            _eprint(_style("[PASS]", "32") + line[6:])
-        else:
-            _eprint(_style("[FAIL]", "31") + line[6:])
+    width = max(len(f"{r.section}: {r.name}") for r in results)
+    for r in results:
+        status = _style("[PASS]", "32") if r.passed else _style("[FAIL]", "31")
+        _eprint(f"{status} {f'{r.section}: {r.name}':<{width}}  {r.detail}")
     failures = [f"{r.section}: {r.name}" for r in results if not r.passed]
     _emit(
         {
@@ -298,14 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_husimi)
 
     p = sub.add_parser("scan", help="two-component fidelity scan over j and omega")
-    p.add_argument("--twice-j-list", type=_int_list, required=True)
-    p.add_argument("--omega", type=_float_list, default=[0.0], help="comma-separated omega values")
+    p.add_argument("--twice-j-list", type=_list_of(_int_at_least(0)), required=True)
+    p.add_argument("--omega", type=_list_of(_finite_float), default=[0.0], help="comma-separated omega values")
     p.add_argument("--gamma", type=parse_complex, default=1j)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("metrology", help="phase-uncertainty scaling table")
-    p.add_argument("--n-list", type=_int_list, required=True)
+    p.add_argument("--n-list", type=_list_of(_int_at_least(1)), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=cmd_metrology)
 

@@ -14,6 +14,7 @@ phases are physically meaningless except where a test pins one deliberately.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,32 @@ def _binomial_weights(twice_j: int, half) -> np.ndarray:
     """sqrt(C(2j,k)) cos(half)^(2j-k) sin(half)^k over k = 0..2j.
 
     `half` is theta/2, a scalar or a column of them (one row each).
+    Binomials past the float range (from 2j = 1030 on) take the log form
+    exp(log C / 2 + (2j-k) log cos + k log sin) instead.
     """
     k = np.arange(twice_j + 1)
     # Exact integers, each from the last: C(n, i+1) = C(n, i) (n - i) / (i + 1).
-    binomials = [1]
-    for i in range(twice_j):
-        binomials.append(binomials[-1] * (twice_j - i) // (i + 1))
-    sqrt_binomials = np.sqrt(np.array(binomials, dtype=float))
-    return sqrt_binomials * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
+    # One is held at a time; those past the float range leave a 0 in
+    # `exact` and their log in `log_c`.
+    exact, big, log_c = [], [], []
+    binomial = 1
+    for i in range(twice_j + 1):
+        if binomial <= sys.float_info.max:
+            exact.append(binomial)
+        else:
+            exact.append(0)
+            big.append(i)
+            log_c.append(math.log(binomial))
+        binomial = binomial * (twice_j - i) // (i + 1)
+    weights = np.sqrt(np.array(exact, dtype=float)) * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
+    if big:
+        kb = k[big]
+        # At theta = 0 log sin is -inf and the weight exp(-inf) = 0; big
+        # entries have 0 < k < 2j, so no 0 * inf arises.
+        with np.errstate(divide="ignore"):
+            log_w = 0.5 * np.array(log_c) + (twice_j - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half))
+        weights[..., big] = np.exp(log_w)
+    return weights
 
 
 def coherent_expansion(j: HalfInteger, gamma) -> SpinState:

@@ -20,7 +20,6 @@ tested against.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -175,34 +174,6 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
             fid, c_plus, c_minus = fit_two_component(evolved, gamma)
             rows.append(CatScanRow(j.twice_value, omega, fid, c_plus, c_minus))
     return rows
-
-
-CAT_SCAN_COLUMNS = (
-    "twice_j",
-    "omega",
-    "fidelity",
-    "coeff_plus_re",
-    "coeff_plus_im",
-    "coeff_minus_re",
-    "coeff_minus_im",
-)
-
-
-def write_cat_scan_csv(rows, fileobj):
-    writer = csv.writer(fileobj)
-    writer.writerow(CAT_SCAN_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.twice_j,
-                repr(float(r.omega)),
-                repr(float(r.fidelity)),
-                repr(r.coeff_plus.real),
-                repr(r.coeff_plus.imag),
-                repr(r.coeff_minus.real),
-                repr(r.coeff_minus.imag),
-            ]
-        )
 
 
 def x_rotation(j: HalfInteger, angle: float) -> SpinOperator:

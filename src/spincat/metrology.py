@@ -9,7 +9,6 @@ expectation-level, no sampling.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -89,14 +88,3 @@ def scaling_table(n_list) -> list[ScalingRow]:
         )
     return rows
 
-
-SCALING_COLUMNS = ("N", "delta_phi_noon", "delta_phi_sql_reference", "qfi")
-
-
-def write_scaling_csv(rows, fileobj):
-    writer = csv.writer(fileobj)
-    writer.writerow(SCALING_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [r.n_total, repr(r.delta_phi_noon), repr(r.delta_phi_sql_reference), repr(r.qfi)]
-        )

@@ -269,11 +269,3 @@ def sections(results) -> list[str]:
             seen.append(r.section)
     return seen
 
-
-def format_table(results) -> str:
-    width = max(len(f"{r.section}: {r.name}") for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"[{status}] {f'{r.section}: {r.name}':<{width}}  {r.detail}")
-    return "\n".join(lines)

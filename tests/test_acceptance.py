@@ -15,7 +15,6 @@ from spincat import (
     KerrHamiltonianSpec,
     bloch_direction,
     casimir,
-    cat_scan,
     coherent_expansion,
     commutator,
     fidelity,
@@ -41,7 +40,6 @@ from spincat import (
     weight_state,
 )
 from spincat.cli import main
-from spincat.dynamics import write_cat_scan_csv
 from spincat.statefile import load_spin_state, save_state
 
 RNG_SEED = 20260810
@@ -211,10 +209,8 @@ def test_criterion_7_metrology():
 
 
 def test_criterion_8_half_integer_report(tmp_path):
-    rows = cat_scan([HalfInteger(tj) for tj in (1, 3, 5, 7)], [0.0])
     path = tmp_path / "half_integer_scan.csv"
-    with open(path, "w", newline="") as fh:
-        write_cat_scan_csv(rows, fh)
+    rc = main(["scan", "--twice-j-list", "1,3,5,7", "--omega", "0", "--out", str(path)])
     lines = path.read_text().strip().splitlines()
     schema_ok = (
         lines[0] == "twice_j,omega,fidelity,coeff_plus_re,coeff_plus_im,coeff_minus_re,coeff_minus_im"
@@ -227,7 +223,7 @@ def test_criterion_8_half_integer_report(tmp_path):
     fidelities = {tj: vals[1] for tj, vals in parsed}
     _report(
         "8 half-integer report",
-        schema_ok and sorted(fidelities) == [1, 3, 5, 7],
+        rc == 0 and schema_ok and sorted(fidelities) == [1, 3, 5, 7],
         f"4 rows, schema ok, measured fidelities "
         f"{[round(fidelities[tj], 6) for tj in (1, 3, 5, 7)]} (recorded, no threshold)",
     )

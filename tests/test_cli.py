@@ -1,12 +1,19 @@
+import contextlib
+import dataclasses
+import io
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincat import HalfInteger, coherent_expansion
+from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
 from spincat.cli import main, parse_complex
-from spincat.statefile import load_spin_state, load_two_mode_state
+from spincat.statefile import load_spin_state, load_two_mode_state, save_state
 
 
 def run(capsys, *argv):
@@ -35,6 +42,14 @@ def test_coherent_writes_expected_amplitudes(tmp_path, capsys):
     assert last_json(stdout)["twice_j"] == 2
     state = load_spin_state(out)
     assert np.allclose(state.amplitudes, [0.5, 1j / math.sqrt(2), -0.5], atol=1e-12)
+
+
+def test_coherent_past_float_binomials(tmp_path, capsys):
+    # C(2000, 1000) overflows a float; the weights take the log form there.
+    out = tmp_path / "c.json"
+    rc, _, err = run(capsys, "coherent", "--twice-j", "2000", "--gamma", "1", "--out", str(out))
+    assert rc == 0, err
+    assert load_spin_state(out).j.twice_value == 2000
 
 
 def test_negative_gamma_needs_equals_form(tmp_path, capsys):
@@ -158,7 +173,12 @@ def test_scan_csv(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "1,2,3,4", "--omega", "0")
     assert rc == 0
     lines = stdout.strip().splitlines()
-    assert lines[0].startswith("twice_j,omega,fidelity")
+    assert lines[0] == "twice_j,omega,fidelity,coeff_plus_re,coeff_plus_im,coeff_minus_re,coeff_minus_im"
+    assert len(lines) == 5
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert len(cells) == 7
+        int(cells[0])
     fid = {int(ln.split(",")[0]): float(ln.split(",")[2]) for ln in lines[1:]}
     assert fid[2] == pytest.approx(1.0, abs=1e-10)
     assert fid[4] == pytest.approx(1.0, abs=1e-10)
@@ -177,6 +197,7 @@ def test_metrology_csv(capsys):
     assert rc == 0
     lines = stdout.strip().splitlines()
     assert lines[0] == "N,delta_phi_noon,delta_phi_sql_reference,qfi"
+    assert len(lines) == 6
     for ln in lines[1:]:
         n, dphi, sql, qfi = ln.split(",")
         assert float(dphi) == pytest.approx(1.0 / int(n), abs=1e-9)
@@ -191,7 +212,44 @@ def test_verify_small_run_passes(capsys):
     info = last_json(stdout)
     assert info["passed"] is True
     assert info["sections"] >= 5
-    assert "[PASS]" in err
+    lines = err.splitlines()
+    assert len(lines) == info["checks"]
+    assert all(re.fullmatch(r"\[PASS\] [\w-]+: .+  worst \S+ \([<>]= \S+\)", ln) for ln in lines)
+
+
+def test_csv_cells_are_the_library_values(tmp_path, capsys):
+    state_path = tmp_path / "cat.json"
+    run(capsys, "cat", "--twice-j", "12", "--gamma", "0.3+0.8i", "--out", str(state_path))
+    # 65 x 64 = 4160 rows, more than one block of cli.CSV_BLOCK_ROWS
+    thetas, phis, q = husimi_grid(load_spin_state(state_path), 65, 64)
+    scan_rows = cat_scan([HalfInteger(tj) for tj in (1, 2, 5)], [0.0, 0.3])
+    cases = [
+        (
+            ("husimi", "--in", str(state_path), "--n-theta", "65", "--n-phi", "64"),
+            [(t, p, q[i, k]) for i, t in enumerate(thetas) for k, p in enumerate(phis)],
+        ),
+        (
+            ("scan", "--twice-j-list", "1,2,5", "--omega", "0,0.3"),
+            [
+                (r.twice_j, r.omega, r.fidelity, r.coeff_plus.real, r.coeff_plus.imag, r.coeff_minus.real, r.coeff_minus.imag)
+                for r in scan_rows
+            ],
+        ),
+        (("metrology", "--n-list", "1,3,10"), [dataclasses.astuple(r) for r in scaling_table([1, 3, 10])]),
+    ]
+    out_path = tmp_path / "t.csv"
+    for argv, want in cases:
+        rc, stdout, _ = run(capsys, *argv)
+        assert rc == 0
+        rc, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert rc == 0
+        # bytes, not read_text(), which would turn "\r\n" into "\n"
+        for text in (stdout, out_path.read_bytes().decode("utf-8")):
+            assert "\r" not in text
+            lines = text.split("\n")
+            assert lines[-1] == ""
+            got = [[float(c) for c in ln.split(",")] for ln in lines[1:-1]]
+            assert got == [[float(v) for v in row] for row in want]
 
 
 @pytest.mark.parametrize(
@@ -206,6 +264,7 @@ def test_verify_small_run_passes(capsys):
         ("husimi", "--in", "{dir}/s.json", "--n-theta", "1"),
         ("husimi", "--in", "{dir}/s.json", "--n-phi", "0"),
         ("verify", "--max-twice-j", "-5"),
+        ("scan", "--twice-j-list", "2,-1"),
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
@@ -218,3 +277,73 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
 def test_usage_error_on_unknown_command(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 2
+
+
+SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
+FLOATS = ("0", "0.5", "nan", "inf", "1e400", "x")
+GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0")
+LISTS = ("1,2", "0", "2,-1", "1,,2", "x")
+IN_PATHS = ("{dir}/spin.json", "{dir}/two_mode.json", "{dir}/empty.json", "{dir}/missing.json")
+OUT_PATHS = ("{dir}/out.dat", "{dir}")
+
+
+def _sizes(at_most):
+    return tuple(s for s in SIZES if not s.isdigit() or int(s) <= at_most)
+
+
+def _flag(flag, pool, required=False):
+    """[flag, value] with a value from `pool`; an optional flag may be left out."""
+    given_flag = st.sampled_from(pool).map(lambda value: [flag, value])
+    return given_flag if required else st.one_of(st.just([]), given_flag)
+
+
+_GAMMA = st.one_of(st.just([]), st.sampled_from(GAMMAS).map(lambda g: [f"--gamma={g}"]))
+_LABEL = (_flag("--theta", FLOATS), _flag("--phi", FLOATS), _GAMMA)
+
+# Sizes are capped per command so that an example stays cheap: N <= 64,
+# Husimi grids of at most 10 x 10, verify up to 2j = 4; only coherent, cat
+# and scan reach 2j = 2000.
+FUZZ_COMMANDS = {
+    "coherent": (_flag("--twice-j", SIZES, True), *_LABEL, _flag("--out", OUT_PATHS, True)),
+    "cat": (_flag("--twice-j", SIZES, True), *_LABEL, _flag("--omega", FLOATS), _flag("--out", OUT_PATHS, True)),
+    "noon": (
+        _flag("--n", _sizes(64), True),
+        _flag("--omega", FLOATS),
+        _flag("--gamma-choice", ("i", "1")),
+        _flag("--out", OUT_PATHS, True),
+    ),
+    "husimi": (
+        _flag("--in", IN_PATHS, True),
+        _flag("--n-theta", _sizes(10), True),
+        _flag("--n-phi", _sizes(10), True),
+        _flag("--out", OUT_PATHS),
+    ),
+    "scan": (_flag("--twice-j-list", (*LISTS, "2000"), True), _flag("--omega", LISTS), _GAMMA, _flag("--out", OUT_PATHS)),
+    "metrology": (_flag("--n-list", LISTS, True), _flag("--out", OUT_PATHS)),
+    "verify": (_flag("--max-twice-j", _sizes(4), True),),
+}
+
+cli_argv = st.sampled_from(sorted(FUZZ_COMMANDS)).flatmap(
+    lambda cmd: st.tuples(*FUZZ_COMMANDS[cmd]).map(lambda parts: [cmd, *itertools.chain(*parts)])
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_state(coherent_expansion(HalfInteger(4), 1j), d / "spin.json")
+    save_state(make_noon(4), d / "two_mode.json")
+    (d / "empty.json").write_text("{}")
+    return d
+
+
+@given(argv=cli_argv)
+@settings(max_examples=150, deadline=None)
+def test_cli_exit_codes_under_fuzzed_arguments(fuzz_dir, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([a.format(dir=fuzz_dir) for a in argv])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert "self-check failed" in err.getvalue()

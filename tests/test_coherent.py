@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,3 +240,19 @@ def test_binomial_weights_bit_identical_to_comb(half):
         sqrt_binomials = np.sqrt(np.array([math.comb(tj, i) for i in range(tj + 1)], dtype=float))
         want = sqrt_binomials * np.cos(half) ** (tj - k) * np.sin(half) ** k
         assert np.array_equal(_binomial_weights(tj, half), want)
+
+
+@pytest.mark.parametrize("thetas", [1.1, np.array([[0.0], [0.4], [math.pi / 2], [2.9], [math.pi]])], ids=["scalar", "column"])
+@pytest.mark.parametrize("tj", [1030, 2000, 4000, 10000])
+def test_binomial_weights_past_float_range(tj, thetas):
+    # From 2j = 1030 on the largest binomials overflow a float; the poles
+    # put log 0 = -inf into the log form, which must give 0, not NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        w = _binomial_weights(tj, np.divide(thetas, 2.0))
+    j = tj / 2
+    m = np.arange(tj + 1) - j
+    assert np.isfinite(w).all()
+    assert np.abs((w**2).sum(axis=-1) - 1.0).max() <= 1e-11
+    jz_mean = (w**2 * m).sum(axis=-1)
+    assert np.abs(jz_mean + j * np.cos(np.ravel(thetas))).max() <= 1e-11 * j

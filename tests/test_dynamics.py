@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from spincat import (
     weight_state,
     x_rotation,
 )
-from spincat.dynamics import quarter_period_unitary, write_cat_scan_csv
+from spincat.dynamics import quarter_period_unitary
 from spincat.su2 import expm_hermitian
 
 
@@ -212,20 +211,6 @@ def test_cat_scan_integer_rows_hit_unity():
     rows = cat_scan([HalfInteger(tj) for tj in (2, 4, 8)], [0.0])
     for r in rows:
         assert r.fidelity >= 1 - 1e-10
-
-
-def test_cat_scan_csv_schema():
-    rows = cat_scan([HalfInteger(1), HalfInteger(2)], [0.0, 0.5])
-    buf = io.StringIO()
-    write_cat_scan_csv(rows, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "twice_j,omega,fidelity,coeff_plus_re,coeff_plus_im,coeff_minus_re,coeff_minus_im"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 7
-        int(cells[0])
-        [float(c) for c in cells[1:]]
 
 
 def test_rotate_x_quarter_spin_half_matrix():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from spincat import (
     quantum_fisher_information,
     scaling_table,
 )
-from spincat.metrology import error_propagation_uncertainty, write_scaling_csv
+from spincat.metrology import error_propagation_uncertainty
 
 
 def test_phase_shift_identity_at_zero():
@@ -144,15 +143,3 @@ def test_scaling_table_frozen_rows():
     assert rows[64].delta_phi_noon == pytest.approx(0.015625, abs=1e-12)
     assert rows[64].delta_phi_sql_reference == pytest.approx(0.125, abs=1e-15)
     assert rows[16].qfi == pytest.approx(256.0, abs=1e-9)
-
-
-def test_scaling_csv_schema():
-    buf = io.StringIO()
-    write_scaling_csv(scaling_table([1, 2, 4]), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "N,delta_phi_noon,delta_phi_sql_reference,qfi"
-    assert len(lines) == 4
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert len(cells) == 4
-        assert float(cells[1]) * int(cells[0]) == pytest.approx(1.0, abs=1e-9)
