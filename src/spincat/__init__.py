@@ -20,10 +20,7 @@ from .su2 import (
     SpinOperator,
     SpinState,
     casimir,
-    commutator,
-    expectation,
     expm_hermitian,
-    identity,
     jminus,
     jplus,
     jx,
@@ -41,7 +38,6 @@ from .coherent import (
     coherent_expansion,
     fidelity,
     husimi_grid,
-    jy_extremal_states,
     mean_spin,
     overlap,
     rotation_operator,

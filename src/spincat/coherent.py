@@ -187,28 +187,6 @@ def mean_spin(state: SpinState) -> np.ndarray:
     return vals.real
 
 
-def jy_extremal_states(j: HalfInteger) -> tuple[SpinState, SpinState]:
-    """Eigenvectors of Jy with eigenvalues (+j, -j), in that order.
-
-    Each returned state is phase-aligned to the coherent state it coincides
-    with; under this package's conventions |j,+i> is the -j eigenstate and
-    |j,-i> the +j one (the pairing is frozen by a convention test).
-    """
-    _, vecs = np.linalg.eigh(jy(j).matrix)
-    plus, minus = vecs[:, -1], vecs[:, 0]
-
-    def aligned(vec: np.ndarray, target: SpinState) -> SpinState:
-        ov = np.vdot(vec, target.amplitudes)
-        if abs(ov) > 0:
-            vec = vec * (ov / abs(ov))
-        return SpinState(j, vec)
-
-    return (
-        aligned(plus, coherent_expansion(j, -1j)),
-        aligned(minus, coherent_expansion(j, 1j)),
-    )
-
-
 @dataclass(frozen=True)
 class CatDecomposition:
     """c_plus |j,label_plus> + c_minus |j,label_minus>."""

@@ -4,8 +4,10 @@ The phase shift acts on one arm, multiplying the n_a amplitude by
 e^{-i n_a phi}.  The measured observable is the extreme-component
 coherence A = |N,0><0,N| + h.c., whose expectation on a shifted N00N
 probe is cos(N phi + 2 phi0); error propagation on A at the steepest
-point of that fringe gives delta phi = 1/N exactly.  Everything here is
-expectation-level, no sampling.
+point of that fringe gives delta phi = 1/N exactly.  A reads only the
+n_a = 0 and n_a = N amplitudes, so its moments are taken from those two
+numbers and broadcast over an array of phases without building a shifted
+state.  Everything here is expectation-level, no sampling.
 """
 from __future__ import annotations
 
@@ -23,21 +25,34 @@ def apply_phase_shift(state: TwoModeState, phi: float) -> TwoModeState:
     return TwoModeState(state.n_total, state.amplitudes * np.exp(-1j * phi * n_a))
 
 
-def _coherence_moments(state: TwoModeState, phi: float) -> tuple[float, float, float]:
-    """(<A>, <A^2>, d<A>/dphi) for A = |N,0><0,N| + h.c. after the shift."""
-    shifted = apply_phase_shift(state, phi)
-    top, bottom = shifted.amplitudes[-1], shifted.amplitudes[0]
+def _coherence_moments(state: TwoModeState, phi: float | np.ndarray) -> tuple:
+    """(<A>, <A^2>, d<A>/dphi) for A = |N,0><0,N| + h.c. after a shift by phi.
+
+    The shift multiplies the n_a = N amplitude by e^{-i N phi} and leaves
+    n_a = 0 alone, and A reads only those two, so no shifted state is
+    built.  phi is a float or an array; each moment broadcasts over it.
+    Raises ValueError if any phi is not finite.
+    """
+    phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phase shift has non-finite entries")
+    n = state.n_total
+    top = state.amplitudes[-1] * np.exp(-1j * phi * n)
+    bottom = state.amplitudes[0]
     cross = np.conj(top) * bottom
     mean = 2.0 * cross.real
     mean_sq = abs(top) ** 2 + abs(bottom) ** 2  # A^2 projects onto the extremes
-    slope = -2.0 * state.n_total * cross.imag
-    return float(mean), float(mean_sq), float(slope)
+    slope = -2.0 * n * cross.imag
+    return mean, mean_sq, slope
 
 
-def noon_signal(n_total: int, phi0: float, phi: float) -> float:
-    """<A> on NoonState(n_total, phi0) after a shift by phi; cos(N phi + 2 phi0)."""
+def noon_signal(n_total: int, phi0: float, phi: float | np.ndarray) -> float | np.ndarray:
+    """<A> on NoonState(n_total, phi0) after a shift by phi; cos(N phi + 2 phi0).
+
+    A float phi gives a float; an array gives an array of its shape.
+    """
     mean, _, _ = _coherence_moments(NoonState(n_total, phi0).to_two_mode(), phi)
-    return mean
+    return float(mean) if np.ndim(mean) == 0 else mean
 
 
 def error_propagation_uncertainty(state: TwoModeState) -> float:
@@ -48,7 +63,7 @@ def error_propagation_uncertainty(state: TwoModeState) -> float:
         raise ValueError("no extreme-component coherence; the fringe is flat")
     # steepest slope sits where <A> crosses zero
     phi_star = (math.pi / 2.0 - np.angle(cross)) / n
-    mean, mean_sq, slope = _coherence_moments(state, phi_star)
+    mean, mean_sq, slope = (float(v) for v in _coherence_moments(state, phi_star))
     return math.sqrt(mean_sq - mean**2) / abs(slope)
 
 

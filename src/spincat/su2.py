@@ -120,10 +120,6 @@ def weight_state(j: HalfInteger, twice_m: int) -> SpinState:
     return SpinState(j, amps)
 
 
-def identity(j: HalfInteger) -> SpinOperator:
-    return SpinOperator(j, np.eye(j.dim, dtype=np.complex128))
-
-
 def jz(j: HalfInteger) -> SpinOperator:
     """Diagonal weight operator, eigenvalues m = -j..+j."""
     return SpinOperator(j, np.diag(m_values(j)).astype(np.complex128))
@@ -203,14 +199,3 @@ def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis == "y":
         out = d * out
     return SpinState(j, out)
-
-
-def expectation(op: SpinOperator, state: SpinState) -> complex:
-    """<state| op |state>."""
-    if op.j != state.j:
-        raise IrrepMismatch("operator and state from different irreps")
-    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
-
-
-def commutator(a: SpinOperator, b: SpinOperator) -> SpinOperator:
-    return SpinOperator(a.j, a.matrix @ b.matrix - b.matrix @ a.matrix)

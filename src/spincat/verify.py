@@ -229,10 +229,9 @@ def _metrology_section(max_twice_j: int):
     yield _bound("metrology", f"pipeline QFI = N^2, even N<={limit}", worst_qfi, 1e-8)
 
     worst_period = 0
+    phis = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
     for n in (1, 4, 10):
-        phis = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
-        samples = np.array([noon_signal(n, 0.0, p) for p in phis])
-        spectrum = np.abs(np.fft.rfft(samples))
+        spectrum = np.abs(np.fft.rfft(noon_signal(n, 0.0, phis)))
         spectrum[0] = 0.0
         worst_period = max(worst_period, abs(int(np.argmax(spectrum)) - n))
     yield _bound("metrology", "fringe frequency = N", float(worst_period), 0.0)

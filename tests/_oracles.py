@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's code paths: amplitudes
 come from the raw power-series formula, overlaps from the closed form,
 and expectation values from explicitly constructed observable matrices.
+The operator helpers at the end act on the library's state and operator
+types through their dense matrices only.
 """
 import math
 
 import numpy as np
+
+from spincat import HalfInteger, IrrepMismatch, SpinOperator, SpinState, coherent_expansion, jy
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
@@ -43,3 +47,40 @@ def binomial_probe_amplitudes(n_total: int) -> np.ndarray:
     k = np.arange(n_total + 1)
     probs = np.array([math.comb(n_total, int(kk)) for kk in k], dtype=float) / 2.0**n_total
     return np.sqrt(probs).astype(complex)
+
+
+def identity(j: HalfInteger) -> SpinOperator:
+    return SpinOperator(j, np.eye(j.dim, dtype=np.complex128))
+
+
+def commutator(a: SpinOperator, b: SpinOperator) -> SpinOperator:
+    return SpinOperator(a.j, a.matrix @ b.matrix - b.matrix @ a.matrix)
+
+
+def expectation(op: SpinOperator, state: SpinState) -> complex:
+    """<state| op |state>."""
+    if op.j != state.j:
+        raise IrrepMismatch("operator and state from different irreps")
+    return complex(np.vdot(state.amplitudes, op.matrix @ state.amplitudes))
+
+
+def jy_extremal_states(j: HalfInteger) -> tuple[SpinState, SpinState]:
+    """Eigenvectors of Jy with eigenvalues (+j, -j), in that order, by dense eigh.
+
+    Each returned state is phase-aligned to the coherent state it coincides
+    with; under the package's conventions |j,+i> is the -j eigenstate and
+    |j,-i> the +j one (the pairing is frozen by a convention test).
+    """
+    _, vecs = np.linalg.eigh(jy(j).matrix)
+    plus, minus = vecs[:, -1], vecs[:, 0]
+
+    def aligned(vec: np.ndarray, target: SpinState) -> SpinState:
+        ov = np.vdot(vec, target.amplitudes)
+        if abs(ov) > 0:
+            vec = vec * (ov / abs(ov))
+        return SpinState(j, vec)
+
+    return (
+        aligned(plus, coherent_expansion(j, -1j)),
+        aligned(minus, coherent_expansion(j, 1j)),
+    )

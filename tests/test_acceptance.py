@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+from _oracles import commutator
 from spincat import (
     BlochDirection,
     HalfInteger,
@@ -16,7 +17,6 @@ from spincat import (
     bloch_direction,
     casimir,
     coherent_expansion,
-    commutator,
     fidelity,
     fit_two_component,
     jminus,
@@ -194,7 +194,7 @@ def test_criterion_7_metrology():
     periods_ok = True
     for n in (1, 10, 64):
         phis = np.linspace(0, 2 * math.pi, 10_000, endpoint=False)
-        samples = np.array([noon_signal(n, 0.0, p) for p in phis])
+        samples = noon_signal(n, 0.0, phis)
         spectrum = np.abs(np.fft.rfft(samples))
         spectrum[0] = 0.0
         periods_ok = periods_ok and int(np.argmax(spectrum)) == n

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import coherent_amplitudes_direct, coherent_overlap_formula
+from _oracles import (
+    coherent_amplitudes_direct,
+    coherent_overlap_formula,
+    expectation,
+    jy_extremal_states,
+)
 from spincat import (
     BlochDirection,
     CatDecomposition,
@@ -17,11 +22,9 @@ from spincat import (
     as_label,
     bloch_direction,
     coherent_expansion,
-    expectation,
     fidelity,
     husimi_grid,
     jy,
-    jy_extremal_states,
     mean_spin,
     overlap,
     rotation_operator,

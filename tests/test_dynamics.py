@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import quarter_phase_factors
+from _oracles import jy_extremal_states, quarter_phase_factors
 from spincat import (
     HalfInteger,
     HalfIntegerUnsupported,
@@ -18,7 +18,6 @@ from spincat import (
     fidelity,
     fit_two_component,
     jy,
-    jy_extremal_states,
     jz,
     kerr_hamiltonian,
     predicted_cat,

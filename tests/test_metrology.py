@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -66,11 +67,45 @@ def test_signal_matches_matrix_observable():
 def test_signal_fringe_period():
     for n in (1, 10):
         phis = np.linspace(0, 2 * math.pi, 10_000, endpoint=False)
-        samples = np.array([noon_signal(n, 0.0, p) for p in phis])
+        samples = noon_signal(n, 0.0, phis)
         spectrum = np.abs(np.fft.rfft(samples))
         spectrum[0] = 0.0
         assert int(np.argmax(spectrum)) == n
         assert np.max(np.abs(samples)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 1000])
+def test_signal_over_phase_array_matches_scalar_and_state_routes(n):
+    rng = np.random.default_rng(n)
+    phi0 = float(rng.uniform(-math.pi, math.pi))
+    phis = np.concatenate(([0.0, -50.0, 50.0], rng.uniform(-50.0, 50.0, 254)))
+    got = noon_signal(n, phi0, phis)
+    assert isinstance(got, np.ndarray) and got.shape == phis.shape
+    scalar = np.array([noon_signal(n, phi0, float(p)) for p in phis])
+    assert np.max(np.abs(got - scalar)) <= 1e-15
+    # cos(N phi + 2 phi0) in angle-sum form: rounding N phi + 2 phi0 itself
+    # would cost up to 3.6e-12 once |N phi| reaches 5e4
+    n_phi = n * phis
+    closed = np.cos(n_phi) * math.cos(2 * phi0) - np.sin(n_phi) * math.sin(2 * phi0)
+    assert np.max(np.abs(got - closed)) <= 1e-12
+    if n <= 60:
+        a_mat = extreme_coherence_matrix(n)
+        probe = NoonState(n, phi0).to_two_mode()
+        shifted = [apply_phase_shift(probe, p).amplitudes for p in phis]
+        want = np.array([np.vdot(s, a_mat @ s).real for s in shifted])
+        assert np.max(np.abs(got - want)) <= 1e-13
+    assert type(noon_signal(n, phi0, 0.3)) is float
+    assert noon_signal(n, phi0, phis[:6].reshape(2, 3)).shape == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "phi", [math.nan, math.inf, -math.inf, np.array([0.0, 1.0, math.nan])], ids=["nan", "inf", "-inf", "array"]
+)
+def test_signal_rejects_non_finite_phase(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            noon_signal(4, 0.0, phi)
 
 
 def test_phase_uncertainty_frozen_values():

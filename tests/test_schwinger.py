@@ -109,6 +109,15 @@ def test_make_noon_gamma_one_variant(n):
     assert off_support_mass(out) <= 1e-20
 
 
+@pytest.mark.parametrize("choice", ["i", "1"])
+def test_noon_deficit_is_linear_in_n(choice):
+    # the accuracy contract as a function of N; the worst measured
+    # deficit / N on this grid is about 4e-17
+    for n in [*range(2, 201, 2), 400, 998, 1000]:
+        fid, _ = noon_fidelity(make_noon(n, gamma_choice=choice))
+        assert 1.0 - fid <= 1e-15 * n, n
+
+
 def test_make_noon_odd_is_exploratory():
     # measured, not asserted: the odd pipeline lands far from the N00N
     # family, fidelity 2^{-N/2} at omega = 0

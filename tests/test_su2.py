@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import commutator, identity
 from spincat import (
     HalfInteger,
     IrrepMismatch,
@@ -16,9 +17,7 @@ from spincat import (
     SpinOperator,
     SpinState,
     casimir,
-    commutator,
     expm_hermitian,
-    identity,
     jminus,
     jplus,
     jx,
