@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -125,18 +126,24 @@ def _save(state, path, metadata) -> int:
 
 
 def _csv_lines(header, columns):
-    """CSV lines of equal-length columns under `header`.
+    """CSV text of equal-length columns under `header`, one string per block.
 
     Each cell is the repr of a Python int or float (shortest round-trip
     form) and each line ends in a bare newline; with no rows only the
-    header comes out.
+    header comes out.  Within a block of CSV_BLOCK_ROWS rows each column
+    formats each distinct bit pattern once and gathers the strings back
+    into row order, which gives the same bytes as one repr per cell.
     """
     yield ",".join(header) + "\n"
     columns = [np.asarray(column) for column in columns]
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = slice(start, start + CSV_BLOCK_ROWS)
-        for cells in zip(*(map(repr, column[block].tolist()) for column in columns)):
-            yield ",".join(cells) + "\n"
+        cells = []
+        for column in columns:
+            block = column[start : start + CSV_BLOCK_ROWS]
+            # Keyed on the bits, not the value: float equality would merge -0.0 into 0.0.
+            _, first, inverse = np.unique(block.view(f"u{block.itemsize}"), return_index=True, return_inverse=True)
+            cells.append(np.array([repr(v) for v in block[first].tolist()], dtype=object)[inverse])
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def _write_csv(header, columns, out_path, summary: dict) -> int:
@@ -296,56 +303,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--twice-j", type=_int_at_least(0), required=True)
     add_label_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_coherent)
 
     p = sub.add_parser("cat", help="quarter-period evolve a coherent state and write it")
     p.add_argument("--twice-j", type=_int_at_least(0), required=True)
     add_label_args(p)
     p.add_argument("--omega", type=_finite_float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_cat)
 
     p = sub.add_parser("noon", help="run the full N00N pipeline")
     p.add_argument("--n", type=_int_at_least(1), required=True, help="total photon number")
     p.add_argument("--omega", type=_finite_float, default=0.0)
     p.add_argument("--gamma-choice", choices=("i", "1"), default="i")
     p.add_argument("--out", required=True)
-    p.set_defaults(handler=cmd_noon)
 
     p = sub.add_parser("husimi", help="export an overlap-squared Bloch grid as CSV")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--n-theta", type=_int_at_least(2), default=61)
     p.add_argument("--n-phi", type=_int_at_least(1), default=120)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_husimi)
 
     p = sub.add_parser("scan", help="two-component fidelity scan over j and omega")
     p.add_argument("--twice-j-list", type=_list_of(_int_at_least(0)), required=True)
     p.add_argument("--omega", type=_list_of(_finite_float), default=[0.0], help="comma-separated omega values")
     p.add_argument("--gamma", type=parse_complex, default=1j)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("metrology", help="phase-uncertainty scaling table")
     p.add_argument("--n-list", type=_list_of(_int_at_least(1)), required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_metrology)
 
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--max-twice-j", type=_int_at_least(0), default=60)
-    p.set_defaults(handler=cmd_verify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The handler is looked up per call, so a rebound cmd_* is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.handler(parser, args)
+        return handler(parser, args)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
     except StateFileError as exc:

@@ -141,9 +141,12 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     if label.at_pole:
         amps[-1] = 1.0
         return SpinState(j, amps)
-    radial = _binomial_weights(tj, math.atan(abs(label.gamma)))
-    amps = radial * np.exp(1j * np.angle(label.gamma) * np.arange(tj + 1))
-    return SpinState(j, amps)
+    return _with_phase(j, _binomial_weights(tj, math.atan(abs(label.gamma))), label)
+
+
+def _with_phase(j: HalfInteger, radial: np.ndarray, label: StereoLabel) -> SpinState:
+    """|j,gamma> from its radial weights, `_binomial_weights(2j, atan|gamma|)`."""
+    return SpinState(j, radial * np.exp(1j * np.angle(label.gamma) * np.arange(j.twice_value + 1)))
 
 
 def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CatDecomposition, as_label, coherent_expansion, overlap
+from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap
 from .errors import HalfIntegerUnsupported, IrrepMismatch, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, rotate, weight_state
@@ -139,12 +139,9 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     label = as_label(gamma)
     if label.at_pole or label.gamma == 0:
         raise ValueError("need a finite nonzero label so the two components differ")
-    basis = np.column_stack(
-        [
-            coherent_expansion(state.j, label).amplitudes,
-            coherent_expansion(state.j, label.negated()).amplitudes,
-        ]
-    )
+    # |-gamma| = |gamma|, so both components share one set of radial weights.
+    radial = _binomial_weights(state.j.twice_value, math.atan(abs(label.gamma)))
+    basis = np.column_stack([_with_phase(state.j, radial, lbl).amplitudes for lbl in (label, label.negated())])
     coeffs, *_ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
     fid = float(np.linalg.norm(basis @ coeffs))
     return fid, complex(coeffs[0]), complex(coeffs[1])

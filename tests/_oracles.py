@@ -84,3 +84,11 @@ def jy_extremal_states(j: HalfInteger) -> tuple[SpinState, SpinState]:
         aligned(plus, coherent_expansion(j, -1j)),
         aligned(minus, coherent_expansion(j, 1j)),
     )
+
+
+def csv_text(header, columns) -> str:
+    """A table as the CLI writes it, one repr per cell: the per-cell route."""
+    columns = [np.asarray(column).tolist() for column in columns]
+    lines = [",".join(header) + "\n"]
+    lines += [",".join(map(repr, row)) + "\n" for row in zip(*columns)]
+    return "".join(lines)

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import csv_text
 from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
+from spincat import cli
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
 
@@ -250,6 +252,80 @@ def test_csv_cells_are_the_library_values(tmp_path, capsys):
             assert lines[-1] == ""
             got = [[float(c) for c in ln.split(",")] for ln in lines[1:-1]]
             assert got == [[float(v) for v in row] for row in want]
+
+
+def test_csv_bytes_match_one_repr_per_cell(tmp_path, capsys):
+    # Equal floats with different bits stay apart: -0.0 is not printed as 0.0.
+    rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "2", "--omega=-0.0,0")
+    assert rc == 0
+    assert [ln.split(",")[1] for ln in stdout.splitlines()[1:]] == ["-0.0", "0.0"]
+
+    # One value on both sides of a block boundary, signed zeros, an int column.
+    rows = cli.CSV_BLOCK_ROWS + 3
+    same = np.full(rows, 0.1)
+    zeros = np.where(np.arange(rows) % 3 == 0, -0.0, 0.0)
+    ints = np.arange(rows) % 7 - 3
+    tables = [(("a", "b", "c"), (same, zeros, ints)), (("x", "y"), ([], []))]
+
+    state_path = tmp_path / "cat.json"
+    run(capsys, "cat", "--twice-j", "12", "--gamma", "0.3+0.8i", "--out", str(state_path))
+    # 65 x 64 = 4160 rows, two writer blocks
+    thetas, phis, q = husimi_grid(load_spin_state(state_path), 65, 64)
+    husimi = (("theta", "phi", "q"), (np.repeat(thetas, 64), np.tile(phis, 65), q.ravel()))
+    scan_rows = [
+        (r.twice_j, r.omega, r.fidelity, r.coeff_plus.real, r.coeff_plus.imag, r.coeff_minus.real, r.coeff_minus.imag)
+        for r in cat_scan([HalfInteger(tj) for tj in (1, 2, 5)], [-0.0, 0.0, 0.3])
+    ]
+    scan = (
+        ("twice_j", "omega", "fidelity", "coeff_plus_re", "coeff_plus_im", "coeff_minus_re", "coeff_minus_im"),
+        list(zip(*scan_rows)),
+    )
+    metrology = (
+        ("N", "delta_phi_noon", "delta_phi_sql_reference", "qfi"),
+        list(zip(*[dataclasses.astuple(r) for r in scaling_table([1, 3, 10])])),
+    )
+    for header, columns in tables:
+        assert "".join(cli._csv_lines(header, columns)) == csv_text(header, columns)
+
+    out_path = tmp_path / "t.csv"
+    for argv, (header, columns) in (
+        (("husimi", "--in", str(state_path), "--n-theta", "65", "--n-phi", "64"), husimi),
+        (("scan", "--twice-j-list", "1,2,5", "--omega=-0.0,0,0.3"), scan),
+        (("metrology", "--n-list", "1,3,10"), metrology),
+    ):
+        want = csv_text(header, columns)
+        rc, stdout, _ = run(capsys, *argv)
+        assert rc == 0
+        assert stdout == want
+        rc, _, _ = run(capsys, *argv, "--out", str(out_path))
+        assert rc == 0
+        assert out_path.read_bytes() == want.encode("utf-8")
+
+
+def test_parser_is_reused_across_calls(capsys, monkeypatch):
+    rc, _, _ = run(capsys, "metrology", "--n-list", "1")
+    assert rc == 0
+    # The handler is found when main runs, so a rebound cmd_* is the one called.
+    seen = []
+    monkeypatch.setattr(cli, "cmd_metrology", lambda parser, args: seen.append(args.n_list) or 0)
+    rc, _, _ = run(capsys, "metrology", "--n-list", "2,3")
+    assert (rc, seen) == (0, [[2, 3]])
+    monkeypatch.undo()
+
+    # A usage error leaves nothing behind for the next call.
+    rc, _, _ = run(capsys, "metrology", "--n-list", "0")
+    assert rc == 2
+    rc, stdout, _ = run(capsys, "metrology", "--n-list", "4")
+    assert rc == 0
+    assert stdout.splitlines()[1].startswith("4,")
+
+    # A given --omega does not leak into the next call's default.
+    rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "2", "--omega", "0.5")
+    assert rc == 0
+    assert stdout.splitlines()[1].split(",")[1] == "0.5"
+    rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "2")
+    assert rc == 0
+    assert [ln.split(",")[1] for ln in stdout.splitlines()[1:]] == ["0.0"]
 
 
 @pytest.mark.parametrize(

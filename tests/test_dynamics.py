@@ -176,6 +176,23 @@ def test_cat_relative_phase():
         assert abs(math.remainder(np.angle(c_minus / c_plus) - want, 2 * math.pi)) < 1e-8
 
 
+@pytest.mark.parametrize("twice_j", [1, 2, 24, 1029, 1030, 2000])
+def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
+    # 1030 and 2000 take the log-space binomials.
+    j = HalfInteger(twice_j)
+    rng = np.random.default_rng(twice_j)
+    noise = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+    for gamma in (1j, 0.3 + 0.8j, -1.7 + 0.2j, -0.4 - 2.5j):
+        evolved = quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, gamma))
+        for state in (evolved, SpinState(j, noise / np.linalg.norm(noise))):
+            basis = np.column_stack(
+                [coherent_expansion(j, gamma).amplitudes, coherent_expansion(j, -gamma).amplitudes]
+            )
+            coeffs, *_ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
+            want = (float(np.linalg.norm(basis @ coeffs)), complex(coeffs[0]), complex(coeffs[1]))
+            assert fit_two_component(state, gamma) == want
+
+
 def test_fit_two_component_rejects_degenerate_labels():
     s = weight_state(HalfInteger(2), 0)
     with pytest.raises(ValueError):
