@@ -13,6 +13,7 @@ phases are physically meaningless except where a test pins one deliberately.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
-from .halfint import HalfInteger
-from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz
+from .halfint import HalfInteger, m_values
+from .su2 import SpinOperator, SpinState, _generators, jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,17 @@ def bloch_direction(label) -> BlochDirection:
     return BlochDirection(2.0 * math.atan(abs(label.gamma)), np.angle(label.gamma) % (2.0 * math.pi))
 
 
-def _binomial_weights(twice_j: int, half) -> np.ndarray:
-    """sqrt(C(2j,k)) cos(half)^(2j-k) sin(half)^k over k = 0..2j.
+# cat and scan expand a state and then fit it at the same 2j; two entries
+# let each row take the integers once.
+@functools.lru_cache(maxsize=2)
+def _sqrt_binomials(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sqrt C(2j,k) over k = 0..2j, big, log C(2j,k) / 2 over k in big), read-only.
 
-    `half` is theta/2, a scalar or a column of them (one row each).
-    Binomials past the float range (from 2j = 1030 on) take the log form
-    exp(log C / 2 + (2j-k) log cos + k log sin) instead.
+    `big` holds the k whose binomial is past the float range (from 2j = 1030
+    on); their entries of the first array are 0.
     """
-    k = np.arange(twice_j + 1)
     # Exact integers, each from the last: C(n, i+1) = C(n, i) (n - i) / (i + 1).
-    # One is held at a time; those past the float range leave a 0 in
-    # `exact` and their log in `log_c`.
+    # One is held at a time.
     exact, big, log_c = [], [], []
     binomial = 1
     for i in range(twice_j + 1):
@@ -117,13 +118,28 @@ def _binomial_weights(twice_j: int, half) -> np.ndarray:
             big.append(i)
             log_c.append(math.log(binomial))
         binomial = binomial * (twice_j - i) // (i + 1)
-    weights = np.sqrt(np.array(exact, dtype=float)) * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
-    if big:
+    arrays = (np.sqrt(np.array(exact, dtype=float)), np.array(big, dtype=np.intp), 0.5 * np.array(log_c))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
+def _binomial_weights(twice_j: int, half) -> np.ndarray:
+    """sqrt(C(2j,k)) cos(half)^(2j-k) sin(half)^k over k = 0..2j.
+
+    `half` is theta/2, a scalar or a column of them (one row each).
+    Binomials past the float range (from 2j = 1030 on) take the log form
+    exp(log C / 2 + (2j-k) log cos + k log sin) instead.
+    """
+    sqrt_c, big, half_log_c = _sqrt_binomials(twice_j)
+    k = np.arange(twice_j + 1)
+    weights = sqrt_c * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
+    if big.size:
         kb = k[big]
         # At theta = 0 log sin is -inf and the weight exp(-inf) = 0; big
         # entries have 0 < k < 2j, so no 0 * inf arises.
         with np.errstate(divide="ignore"):
-            log_w = 0.5 * np.array(log_c) + (twice_j - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half))
+            log_w = half_log_c + (twice_j - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half))
         weights[..., big] = np.exp(log_w)
     return weights
 
@@ -157,6 +173,12 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
     ladder combination is fixed so the rotated state matches
     `coherent_expansion` component by component, not just up to phase.
 
+    The generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with the
+    diagonal R = exp(-i (pi/2 - phi) Jz), so with (w, V) the real
+    eigensystem of Jx and W = R V the unitary is
+    I + W (e^{i theta w} - 1) W^dag.  No complex matrix is diagonalized, and
+    theta = 0 gives I exactly.
+
     Raises PoleLabel at the pole, where no finite rotation angle exists in
     this parametrization; build that state directly from theta = pi.
     """
@@ -165,8 +187,9 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
         raise PoleLabel("rotation_operator requires a finite label")
     theta = 2.0 * math.atan(abs(label.gamma))
     phi = float(np.angle(label.gamma))
-    gen = -theta * (math.sin(phi) * jx(j).matrix + math.cos(phi) * jy(j).matrix)
-    return expm_hermitian(SpinOperator(j, gen), 1.0)
+    w, v = _generators(j.twice_value).jx_eigensystem
+    rv = np.exp(-1j * (math.pi / 2.0 - phi) * m_values(j))[:, None] * v
+    return SpinOperator(j, np.eye(j.dim) + (rv * np.expm1(1j * theta * w)) @ rv.conj().T)
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

@@ -2,9 +2,15 @@
 
 `rotate` turns a state about the x or y axis without building a d x d
 complex unitary: it diagonalizes the real tridiagonal Jx and applies phases in
-that eigenbasis.  `expm_hermitian` exponentiates any Hermitian generator
-densely; it serves the functions that return operators and is the
-reference the fast paths are tested against.
+that eigenbasis.  `coherent.rotation_operator` builds its unitary from the
+same real eigensystem.  `expm_hermitian` exponentiates any Hermitian
+generator densely; it serves `quarter_period_unitary`, `x_rotation` and
+verify's conjugation route, and is the reference the fast paths are tested
+against.
+
+For the last two values of 2j, each generator matrix and Jx's eigensystem
+is built on first use and then shared (`_generators`); every cached array
+is read-only.
 
 Conventions used everywhere in this package:
 
@@ -18,6 +24,7 @@ here is pure and safe to call from multiple threads.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,33 +127,80 @@ def weight_state(j: HalfInteger, twice_m: int) -> SpinState:
     return SpinState(j, amps)
 
 
-def jz(j: HalfInteger) -> SpinOperator:
-    """Diagonal weight operator, eigenvalues m = -j..+j."""
-    return SpinOperator(j, np.diag(m_values(j)).astype(np.complex128))
-
-
 def _ladder(j: HalfInteger) -> np.ndarray:
     """sqrt(j(j+1) - m(m+1)) for m = -j..j-1, the J+ entries below the diagonal."""
     m = m_values(j)[:-1]
     return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
 
 
+def _jx_eigensystem(j: HalfInteger) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx."""
+    off = _ladder(j) / 2.0
+    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+
+
+class _Generators:
+    """The generators of one irrep and Jx's eigensystem, each built on first use."""
+
+    def __init__(self, j: HalfInteger):
+        self.j = j
+
+    @functools.cached_property
+    def plus(self) -> SpinOperator:
+        return SpinOperator(self.j, np.diag(_ladder(self.j), k=-1).astype(np.complex128))
+
+    @functools.cached_property
+    def minus(self) -> SpinOperator:
+        return self.plus.dagger()
+
+    @functools.cached_property
+    def x(self) -> SpinOperator:
+        return SpinOperator(self.j, (self.plus.matrix + self.minus.matrix) / 2.0)
+
+    @functools.cached_property
+    def y(self) -> SpinOperator:
+        return SpinOperator(self.j, (self.plus.matrix - self.minus.matrix) / 2.0j)
+
+    @functools.cached_property
+    def z(self) -> SpinOperator:
+        return SpinOperator(self.j, np.diag(m_values(self.j)).astype(np.complex128))
+
+    @functools.cached_property
+    def jx_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        w, v = _jx_eigensystem(self.j)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
+
+
+# Callers loop over j in order, so two entries give every repeat a hit.
+@functools.lru_cache(maxsize=2)
+def _generators(twice_j: int) -> _Generators:
+    """The read-only generators of one 2j, built once per 2j."""
+    return _Generators(HalfInteger(twice_j))
+
+
+def jz(j: HalfInteger) -> SpinOperator:
+    """Diagonal weight operator, eigenvalues m = -j..+j."""
+    return _generators(j.twice_value).z
+
+
 def jplus(j: HalfInteger) -> SpinOperator:
     """Raising operator; maps |j,m> to sqrt(j(j+1)-m(m+1)) |j,m+1>."""
-    return SpinOperator(j, np.diag(_ladder(j), k=-1).astype(np.complex128))
+    return _generators(j.twice_value).plus
 
 
 def jminus(j: HalfInteger) -> SpinOperator:
     """Lowering operator, the adjoint of jplus."""
-    return jplus(j).dagger()
+    return _generators(j.twice_value).minus
 
 
 def jx(j: HalfInteger) -> SpinOperator:
-    return SpinOperator(j, (jplus(j).matrix + jminus(j).matrix) / 2.0)
+    return _generators(j.twice_value).x
 
 
 def jy(j: HalfInteger) -> SpinOperator:
-    return SpinOperator(j, (jplus(j).matrix - jminus(j).matrix) / 2.0j)
+    return _generators(j.twice_value).y
 
 
 def casimir(j: HalfInteger) -> SpinOperator:
@@ -159,8 +213,9 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     """The unitary exp(-i H t) for a Hermitian generator H.
 
     Computed by dense eigendecomposition, which keeps the result unitary
-    to rounding.  This is the reference route: `rotate` and the diagonal
-    twist in `dynamics` are tested against it.
+    to rounding.  This is the reference route: `rotate`,
+    `coherent.rotation_operator` and the diagonal twist in `dynamics` are
+    tested against it.
 
     Raises NonHermitianInput if H fails the Hermiticity gate.
     """
@@ -186,8 +241,8 @@ def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     j = state.j
-    off = _ladder(j) / 2.0
-    w, v = np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    # Not from the cache: a run of distinct large N would only fill it.
+    w, v = _jx_eigensystem(j)
     psi = state.amplitudes
     if axis == "y":
         d = _MINUS_I_POWERS[np.arange(j.dim) % 4]

@@ -78,11 +78,13 @@ def _algebra_section(max_twice_j: int):
             np.linalg.norm((z @ x - x @ z) - 1j * y) / d,
         )
         cas = casimir(j).matrix
-        worst_casimir = max(
-            worst_casimir,
+        residual = max(
             np.linalg.norm(cas - j.casimir_eigenvalue() * np.eye(d)) / d,
             max(np.linalg.norm(cas @ g - g @ cas) / d for g in (x, y, z)),
         )
+        # Rounding in [C, J] grows like j^3 (C ~ j^2, J ~ j), so the bound
+        # is 1e-12 max(1, (j/30)^3): each residual is divided by that scale.
+        worst_casimir = max(worst_casimir, residual / max(1.0, (j.value / 30.0) ** 3))
     yield _bound("algebra", f"commutators up to 2j={max_twice_j}", worst_comm, 1e-12)
     yield _bound("algebra", "casimir = j(j+1) and commutes", worst_casimir, 1e-12)
 

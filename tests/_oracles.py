@@ -10,7 +10,18 @@ import math
 
 import numpy as np
 
-from spincat import HalfInteger, IrrepMismatch, SpinOperator, SpinState, coherent_expansion, jy
+from spincat import (
+    HalfInteger,
+    IrrepMismatch,
+    SpinOperator,
+    SpinState,
+    as_label,
+    coherent_expansion,
+    expm_hermitian,
+    jx,
+    jy,
+    m_values,
+)
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
@@ -92,3 +103,25 @@ def csv_text(header, columns) -> str:
     lines = [",".join(header) + "\n"]
     lines += [",".join(map(repr, row)) + "\n" for row in zip(*columns)]
     return "".join(lines)
+
+
+def chained_generators(j: HalfInteger) -> dict[str, SpinOperator]:
+    """J+, J-, Jx, Jy, Jz and the Casimir, each built from scratch as
+    J- = (J+)^dag, Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i: the uncached route."""
+    m = m_values(j)[:-1]
+    plus = SpinOperator(j, np.diag(np.sqrt(j.casimir_eigenvalue() - m * (m + 1)), k=-1).astype(np.complex128))
+    minus = plus.dagger()
+    x = SpinOperator(j, (plus.matrix + minus.matrix) / 2.0)
+    y = SpinOperator(j, (plus.matrix - minus.matrix) / 2.0j)
+    z = SpinOperator(j, np.diag(m_values(j)).astype(np.complex128))
+    cas = SpinOperator(j, x.matrix @ x.matrix + y.matrix @ y.matrix + z.matrix @ z.matrix)
+    return {"jplus": plus, "jminus": minus, "jx": x, "jy": y, "jz": z, "casimir": cas}
+
+
+def rotation_operator_dense(j: HalfInteger, gamma) -> SpinOperator:
+    """exp(i theta (sin phi Jx + cos phi Jy)) for gamma = e^{i phi} tan(theta/2),
+    by dense eigh of the complex generator."""
+    g = as_label(gamma).gamma
+    theta, phi = 2.0 * math.atan(abs(g)), float(np.angle(g))
+    gen = -theta * (math.sin(phi) * jx(j).matrix + math.cos(phi) * jy(j).matrix)
+    return expm_hermitian(SpinOperator(j, gen), 1.0)

@@ -16,6 +16,7 @@ from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make
 from spincat import cli
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
+from spincat.verify import _algebra_section
 
 
 def run(capsys, *argv):
@@ -217,6 +218,13 @@ def test_verify_small_run_passes(capsys):
     lines = err.splitlines()
     assert len(lines) == info["checks"]
     assert all(re.fullmatch(r"\[PASS\] [\w-]+: .+  worst \S+ \([<>]= \S+\)", ln) for ln in lines)
+
+
+@pytest.mark.parametrize("max_twice_j", [128, 200])
+def test_verify_algebra_holds_past_2j_128(max_twice_j):
+    # Rounding in [C, J] grows like j^3; a fixed 1e-12 failed from 2j = 128 on.
+    results = list(_algebra_section(max_twice_j))
+    assert all(r.passed for r in results), [r.detail for r in results]
 
 
 def test_csv_cells_are_the_library_values(tmp_path, capsys):

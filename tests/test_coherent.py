@@ -11,6 +11,7 @@ from _oracles import (
     coherent_overlap_formula,
     expectation,
     jy_extremal_states,
+    rotation_operator_dense,
 )
 from spincat import (
     BlochDirection,
@@ -31,7 +32,7 @@ from spincat import (
     stereographic,
     weight_state,
 )
-from spincat.coherent import _binomial_weights
+from spincat.coherent import _binomial_weights, _sqrt_binomials
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 small_twice_j = st.integers(min_value=0, max_value=20)
@@ -79,6 +80,25 @@ def test_rotation_builds_the_expansion(tj, g):
 @settings(max_examples=40, deadline=None)
 def test_rotation_unitary(tj, g):
     assert rotation_operator(HalfInteger(tj), g).unitarity_residual() < 1e-12
+
+
+def test_rotation_operator_matches_dense_oracle():
+    rng = np.random.default_rng(11)
+    special = [1e-8, 1e-8j, -1e3, 1e3 * np.exp(2.1j), 0.7, -1.9, 0.4j, -2.5j]
+    worst_diff = worst_unitarity = worst_column = 0.0
+    for tj in range(62):
+        j = HalfInteger(tj)
+        randoms = rng.uniform(0.05, 3.0, 4) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4))
+        for g in [*special, *randoms]:
+            u = rotation_operator(j, g)
+            worst_diff = max(worst_diff, float(np.max(np.abs(u.matrix - rotation_operator_dense(j, g).matrix))))
+            worst_unitarity = max(worst_unitarity, u.unitarity_residual())
+            # The lowest-weight column is |j,gamma>, entry by entry.
+            want = coherent_expansion(j, g).amplitudes
+            worst_column = max(worst_column, float(np.max(np.abs(u.matrix[:, 0] - want))))
+    assert worst_diff <= 1e-13
+    assert worst_unitarity <= 1e-13
+    assert worst_column <= 1e-13
 
 
 def test_rotation_rejects_pole():
@@ -243,6 +263,19 @@ def test_binomial_weights_bit_identical_to_comb(half):
         sqrt_binomials = np.sqrt(np.array([math.comb(tj, i) for i in range(tj + 1)], dtype=float))
         want = sqrt_binomials * np.cos(half) ** (tj - k) * np.sin(half) ** k
         assert np.array_equal(_binomial_weights(tj, half), want)
+
+
+def test_sqrt_binomials_cache_is_read_only_and_small():
+    for tj in (3, 1030, 2000, 7):
+        for arr in _sqrt_binomials(tj):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    assert _sqrt_binomials.cache_info().currsize <= 2
+    # The weights handed out are fresh arrays: writing one leaves the next call unchanged.
+    w = _binomial_weights(7, 0.4)
+    w[:] = 0.0
+    assert np.array_equal(_binomial_weights(7, 0.4), _binomial_weights(7, np.array([[0.4]]))[0])
+    assert np.all(_binomial_weights(7, 0.4) > 0)
 
 
 @pytest.mark.parametrize("thetas", [1.1, np.array([[0.0], [0.4], [math.pi / 2], [2.9], [math.pi]])], ids=["scalar", "column"])

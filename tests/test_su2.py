@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import commutator, identity
+from _oracles import chained_generators, commutator, identity
 from spincat import (
     HalfInteger,
     IrrepMismatch,
@@ -26,6 +27,7 @@ from spincat import (
     rotate,
     weight_state,
 )
+from spincat.su2 import _generators
 
 small_twice_j = st.integers(min_value=0, max_value=24)
 
@@ -96,6 +98,71 @@ def test_casimir_commutes_with_generators(tj):
     cas = casimir(j)
     for gen in (jx(j), jy(j), jz(j)):
         assert np.linalg.norm(commutator(cas, gen).matrix) / j.dim < 1e-12
+
+
+GENERATOR_TWICE_J = sorted({*range(62), *range(0, 401, 37)})
+
+
+def test_generators_bit_identical_to_chained_builds():
+    builders = {"jplus": jplus, "jminus": jminus, "jx": jx, "jy": jy, "jz": jz, "casimir": casimir}
+    for tj in GENERATOR_TWICE_J:
+        j = HalfInteger(tj)
+        for name, want in chained_generators(j).items():
+            got = builders[name](j)
+            assert got.j == j
+            assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+            assert got.matrix.tobytes() == want.matrix.tobytes(), (name, tj)
+    # Two entries at most, whatever the sweep visited.
+    assert _generators.cache_info().currsize <= 2
+
+
+def test_cached_generators_are_read_only():
+    j = HalfInteger(6)
+    for op in (jplus, jminus, jx, jy, jz):
+        with pytest.raises(ValueError):
+            op(j).matrix[0, 0] = 1.0
+    gens = _generators(6)
+    for arr in gens.jx_eigensystem:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    # The cache hands out the same objects, unchanged by the attempts above.
+    assert jx(j) is gens.x
+    assert jx(j).matrix.tobytes() == chained_generators(j)["jx"].matrix.tobytes()
+
+
+def test_generator_cache_under_threads():
+    # More threads than cores, switching often, each cycling through more 2j
+    # values than the cache holds: every result must still be the exact,
+    # read-only generator of the 2j asked for.
+    want = {tj: chained_generators(HalfInteger(tj)) for tj in range(9)}
+    builders = {"jplus": jplus, "jminus": jminus, "jx": jx, "jy": jy, "jz": jz}
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(300):
+                tj = (k + offset) % 9
+                name = list(builders)[k % 5]
+                got = builders[name](HalfInteger(tj)).matrix
+                if got.flags.writeable or got.tobytes() != want[tj][name].matrix.tobytes():
+                    errors.append((name, tj))
+                if _generators(tj).jx_eigensystem[1].flags.writeable:
+                    errors.append(("jx_eigensystem", tj))
+        except Exception as exc:  # reported below; a thread's exception is otherwise lost
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 def test_expm_jz_full_turn():
