@@ -5,7 +5,7 @@ Bloch sphere, quarter-period Kerr-type twisting into two-component cats,
 the two-mode Fock correspondence that turns extremal cats into N00N
 states, and the Heisenberg-limited phase estimation they enable.
 """
-from .halfint import HalfInteger, WeightLabel, m_values, weights
+from .halfint import HalfInteger, m_values
 from .errors import (
     HalfIntegerUnsupported,
     InvalidN,
@@ -32,7 +32,7 @@ from .su2 import (
 from .coherent import (
     BlochDirection,
     CatDecomposition,
-    StereoLabel,
+    SpinorLabel,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -40,6 +40,7 @@ from .coherent import (
     husimi_grid,
     mean_spin,
     overlap,
+    rotate_label,
     rotation_operator,
     stereographic,
 )
@@ -70,7 +71,6 @@ from .schwinger import (
 )
 from .metrology import (
     ScalingRow,
-    apply_phase_shift,
     noon_signal,
     phase_uncertainty,
     quantum_fisher_information,

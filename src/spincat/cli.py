@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .coherent import BlochDirection, StereoLabel, as_label, coherent_expansion, husimi_grid, stereographic
+from .coherent import BlochDirection, SpinorLabel, as_label, coherent_expansion, husimi_grid, stereographic
 from .dynamics import KerrHamiltonianSpec, cat_scan, fit_two_component, quarter_period_evolve
 from .errors import SpinCatError, StateFileError
 from .halfint import HalfInteger
@@ -103,7 +103,7 @@ def _list_of(parse):
     return parse_list
 
 
-def _resolve_label(parser, args) -> StereoLabel:
+def _resolve_label(parser, args) -> SpinorLabel:
     has_angles = args.theta is not None
     has_gamma = args.gamma is not None
     if has_angles == has_gamma:
@@ -166,7 +166,7 @@ def cmd_coherent(parser, args) -> int:
     label = _resolve_label(parser, args)
     j = HalfInteger(args.twice_j)
     state = coherent_expansion(j, label)
-    meta = {"kind": "coherent", "twice_j": str(j.twice_value), "label": "pole" if label.at_pole else repr(label.gamma)}
+    meta = {"kind": "coherent", "twice_j": str(j.twice_value), "label": repr(label.gamma)}
     rc = _save(state, args.out, meta)
     if rc == EXIT_OK:
         _emit({"twice_j": j.twice_value, "dim": j.dim, "path": str(args.out)})
@@ -175,7 +175,7 @@ def cmd_coherent(parser, args) -> int:
 
 def cmd_cat(parser, args) -> int:
     label = _resolve_label(parser, args)
-    if label.at_pole or label.gamma == 0:
+    if label.u_abs * label.v_abs == 0:
         parser.error("the cat construction needs a finite nonzero gamma")
     j = HalfInteger(args.twice_j)
     spec = KerrHamiltonianSpec(j, omega=args.omega, lam=1.0, axis="z")

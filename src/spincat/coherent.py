@@ -1,18 +1,20 @@
 """SU(2) coherent states and the Bloch-sphere bookkeeping around them.
 
-A coherent state is labeled either by Bloch angles (theta, phi) or by the
-stereographic image gamma = e^{i phi} tan(theta/2) of that point; theta = pi
-maps to the distinguished pole label.  Under the expansion used here,
+A coherent state is labeled by a unit spinor (u, v) (Arecchi, Courtens,
+Gilmore & Thomas, PRA 6, 2211 (1972)):
 
-    |j,gamma>  has amplitudes  sqrt(C(2j,k)) cos(theta/2)^{2j-k}
-                               sin(theta/2)^k e^{ik phi}   on  k = j + m,
+    |j; u, v>  has amplitudes  sqrt(C(2j,k)) u^{2j-k} v^k   on  k = j + m,
 
-so gamma = 0 is the lowest-weight state |j,-j>_z and the pole is |j,+j>_z.
-All state comparisons elsewhere in the package use fidelity |<a|b>|; global
-phases are physically meaningless except where a test pins one deliberately.
+so (1, 0) is |j,-j>_z and the pole (0, 1), an ordinary label, is |j,+j>_z.
+Bloch angles give (cos(theta/2), e^{i phi} sin(theta/2)) and gamma = v/u =
+e^{i phi} tan(theta/2).  A rotation about x or y only moves the label
+(`rotate_label`), global phase included.  All state comparisons elsewhere in
+the package use fidelity |<a|b>|; global phases are physically meaningless
+except where a test pins one deliberately.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _generators, jx, jy, jz
+from .su2 import SpinOperator, SpinState, _generators_of, jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -41,60 +43,88 @@ class BlochDirection:
 
 
 @dataclass(frozen=True)
-class StereoLabel:
-    """Finite complex stereographic coordinate, or the pole (theta = pi)."""
+class SpinorLabel:
+    """Unit spinor (u, v) of the coherent state |j; u, v>, pole included.
 
-    gamma: complex = 0j
-    at_pole: bool = False
+    The moduli |u| and |v| are kept apart from the phases, which are the
+    arguments of `u_dir` and `v_dir`: a complex pair pointing along (u, v),
+    (1, gamma) for a label read from gamma and (0, 1) at the pole.  So
+    gamma comes back as given and -gamma is an exact sign flip.
+    """
+
+    u_abs: float
+    v_abs: float
+    u_dir: complex
+    v_dir: complex
 
     def __post_init__(self):
-        g = complex(self.gamma)
-        if self.at_pole:
-            g = 0j
-        elif not (math.isfinite(g.real) and math.isfinite(g.imag)):
-            raise ValueError("finite label required; use StereoLabel.pole() for theta = pi")
-        object.__setattr__(self, "gamma", g)
+        u, v, u_dir, v_dir = self.u_abs, self.v_abs, self.u_dir, self.v_dir
+        if not (u >= 0.0 and v >= 0.0 and abs(u * u + v * v - 1.0) <= 1e-12):
+            raise ValueError(f"({u}, {v}) are not the moduli of a unit spinor")
+        if not (cmath.isfinite(u_dir) and cmath.isfinite(v_dir)) or (u == 0.0) != (u_dir == 0) or (v == 0.0) != (v_dir == 0):
+            raise ValueError("u_dir and v_dir must be finite and vanish exactly where |u| and |v| do")
 
-    @classmethod
-    def pole(cls) -> "StereoLabel":
-        return cls(0j, at_pole=True)
+    @property
+    def gamma(self) -> complex:
+        """v / u, the stereographic coordinate; infinite at the pole."""
+        return self.v_dir / self.u_dir if self.u_dir else complex(math.inf)
 
-    @classmethod
-    def finite(cls, gamma: complex) -> "StereoLabel":
-        return cls(complex(gamma), at_pole=False)
+    @property
+    def phases(self) -> list[float]:
+        """[arg u, arg v], as `np.angle` reads them from `u_dir` and `v_dir`."""
+        return np.angle((self.u_dir, self.v_dir)).tolist()
 
-    def negated(self) -> "StereoLabel":
-        """Label of the antipodal-in-phi state, gamma -> -gamma."""
-        if self.at_pole:
-            return self
-        return StereoLabel.finite(-self.gamma)
+    def negated(self) -> "SpinorLabel":
+        """Label of the antipodal-in-phi state, v -> -v (gamma -> -gamma)."""
+        return SpinorLabel(self.u_abs, self.v_abs, self.u_dir, -self.v_dir)
 
 
-def as_label(gamma) -> StereoLabel:
-    """Coerce a complex number (or label) to a StereoLabel."""
-    if isinstance(gamma, StereoLabel):
+def as_label(gamma) -> SpinorLabel:
+    """Coerce a complex number (infinite: the pole) or label to a SpinorLabel."""
+    if isinstance(gamma, SpinorLabel):
         return gamma
     g = complex(gamma)
     if math.isinf(abs(g)):
-        return StereoLabel.pole()
-    return StereoLabel.finite(g)
+        return SpinorLabel(0.0, 1.0, 0j, 1 + 0j)
+    half = math.atan(abs(g))
+    return SpinorLabel(float(np.cos(half)), float(np.sin(half)), 1 + 0j, g)
 
 
-def stereographic(direction: BlochDirection) -> StereoLabel:
-    """Bloch angles to stereographic label; theta = pi goes to the pole."""
-    if direction.theta == math.pi:
-        return StereoLabel.pole()
-    return StereoLabel.finite(
-        complex(math.cos(direction.phi), math.sin(direction.phi)) * math.tan(direction.theta / 2.0)
-    )
+def stereographic(direction: BlochDirection) -> SpinorLabel:
+    """Bloch angles to a label; theta = pi goes to the pole (0, 1)."""
+    if direction.theta == math.pi:  # tan(pi/2) is finite in floating point
+        return as_label(math.inf)
+    return as_label(complex(math.cos(direction.phi), math.sin(direction.phi)) * math.tan(direction.theta / 2.0))
 
 
 def bloch_direction(label) -> BlochDirection:
     """Inverse of `stereographic`; the pole maps to theta = pi, phi = 0."""
     label = as_label(label)
-    if label.at_pole:
-        return BlochDirection(math.pi, 0.0)
-    return BlochDirection(2.0 * math.atan(abs(label.gamma)), np.angle(label.gamma) % (2.0 * math.pi))
+    # arg v - arg u, not arg gamma: the division in `gamma` can drop the sign of a zero part.
+    arg_u, arg_v = label.phases
+    return BlochDirection(2.0 * math.atan(abs(label.gamma)), (arg_v - arg_u) % (2.0 * math.pi))
+
+
+def rotate_label(label, axis: str, angle: float) -> SpinorLabel:
+    """Label of exp(-i angle J_axis) |j; u, v>, for axis 'x' or 'y'.
+
+    With c = cos(angle/2) and s = sin(angle/2), x maps (u, v) to
+    (cu - isv, -isu + cv) and y to (cu + sv, -su + cv): the spin-1/2
+    rotation, which the expansion carries to every j exactly, global phase
+    included (it agrees with `su2.rotate`).
+    """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    label = as_label(label)
+    arg_u, arg_v = label.phases
+    u, v = cmath.rect(label.u_abs, arg_u), cmath.rect(label.v_abs, arg_v)
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    if axis == "x":
+        u, v = c * u - 1j * s * v, -1j * s * u + c * v
+    else:
+        u, v = c * u + s * v, -s * u + c * v
+    norm = math.hypot(abs(u), abs(v))
+    return SpinorLabel(abs(u) / norm, abs(v) / norm, u, v)
 
 
 # cat and scan expand a state and then fit it at the same 2j; two entries
@@ -124,45 +154,44 @@ def _sqrt_binomials(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _binomial_weights(twice_j: int, half) -> np.ndarray:
-    """sqrt(C(2j,k)) cos(half)^(2j-k) sin(half)^k over k = 0..2j.
+def _binomial_weights(twice_j: int, u_abs, v_abs) -> np.ndarray:
+    """sqrt(C(2j,k)) |u|^(2j-k) |v|^k over k = 0..2j.
 
-    `half` is theta/2, a scalar or a column of them (one row each).
-    Binomials past the float range (from 2j = 1030 on) take the log form
-    exp(log C / 2 + (2j-k) log cos + k log sin) instead.
+    `u_abs` and `v_abs` are scalars or columns of them (one row each).
+    0.0 ** 0 is 1, so the poles need no branch.  Binomials past the float
+    range (from 2j = 1030 on) take the log form
+    exp(log C / 2 + (2j-k) log|u| + k log|v|) instead.
     """
     sqrt_c, big, half_log_c = _sqrt_binomials(twice_j)
     k = np.arange(twice_j + 1)
-    weights = sqrt_c * np.cos(half) ** (twice_j - k) * np.sin(half) ** k
+    radial = sqrt_c * u_abs ** (twice_j - k) * v_abs ** k
     if big.size:
         kb = k[big]
-        # At theta = 0 log sin is -inf and the weight exp(-inf) = 0; big
+        # At a pole one log is -inf and the weight exp(-inf) = 0; big
         # entries have 0 < k < 2j, so no 0 * inf arises.
         with np.errstate(divide="ignore"):
-            log_w = half_log_c + (twice_j - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half))
-        weights[..., big] = np.exp(log_w)
-    return weights
+            log_w = half_log_c + (twice_j - kb) * np.log(u_abs) + kb * np.log(v_abs)
+        radial[..., big] = np.exp(log_w)
+    return radial
 
 
 def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
-    """Coherent state |j,gamma> by direct expansion over the weight basis.
+    """Coherent state |j; u, v> of a label or gamma, expanded over the weight basis.
 
-    The trigonometric form (see module docstring) is used instead of raw
-    powers of |gamma| so that large 2j and large |gamma| neither overflow
-    nor lose the pole limit: gamma -> infinity lands on |j,+j>_z exactly.
+    The moduli |u| = cos(theta/2) and |v| = sin(theta/2) are used instead
+    of raw powers of |gamma| so that large 2j and large |gamma| neither
+    overflow nor lose the pole limit: gamma -> infinity is (0, 1), which
+    lands on |j,+j>_z exactly.
     """
     label = as_label(gamma)
-    tj = j.twice_value
-    amps = np.zeros(j.dim, dtype=np.complex128)
-    if label.at_pole:
-        amps[-1] = 1.0
-        return SpinState(j, amps)
-    return _with_phase(j, _binomial_weights(tj, math.atan(abs(label.gamma))), label)
+    return SpinState(j, _with_phase(_binomial_weights(j.twice_value, label.u_abs, label.v_abs), label))
 
 
-def _with_phase(j: HalfInteger, radial: np.ndarray, label: StereoLabel) -> SpinState:
-    """|j,gamma> from its radial weights, `_binomial_weights(2j, atan|gamma|)`."""
-    return SpinState(j, radial * np.exp(1j * np.angle(label.gamma) * np.arange(j.twice_value + 1)))
+def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
+    """|j; u, v>'s amplitudes from its `_binomial_weights`: u^{2j-k} v^k has phase 2j arg u + k (arg v - arg u)."""
+    twice_j = radial.size - 1
+    arg_u, arg_v = label.phases
+    return radial * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
 
 
 def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
@@ -179,16 +208,18 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
     I + W (e^{i theta w} - 1) W^dag.  No complex matrix is diagonalized, and
     theta = 0 gives I exactly.
 
-    Raises PoleLabel at the pole, where no finite rotation angle exists in
-    this parametrization; build that state directly from theta = pi.
+    A label whose u carries a phase gets the unitary of its gamma, which
+    reaches that label's state up to a global phase.  Raises PoleLabel at
+    the pole, where this parametrization has no unique phi;
+    `coherent_expansion` builds that state directly.
     """
     label = as_label(gamma)
-    if label.at_pole:
+    if not label.u_abs:
         raise PoleLabel("rotation_operator requires a finite label")
     theta = 2.0 * math.atan(abs(label.gamma))
-    phi = float(np.angle(label.gamma))
-    w, v = _generators(j.twice_value).jx_eigensystem
-    rv = np.exp(-1j * (math.pi / 2.0 - phi) * m_values(j))[:, None] * v
+    arg_u, arg_v = label.phases  # as in `bloch_direction`
+    w, v = _generators_of(j).jx_eigensystem
+    rv = np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))[:, None] * v
     return SpinOperator(j, np.eye(j.dim) + (rv * np.expm1(1j * theta * w)) @ rv.conj().T)
 
 
@@ -215,20 +246,15 @@ def mean_spin(state: SpinState) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatDecomposition:
-    """c_plus |j,label_plus> + c_minus |j,label_minus>."""
+    """sum_s c_s |j; label_s>, with `components` the (label_s, c_s) pairs."""
 
     j: HalfInteger
-    label_plus: StereoLabel
-    label_minus: StereoLabel
-    coeff_plus: complex
-    coeff_minus: complex
+    components: tuple[tuple[SpinorLabel, complex], ...]
 
     def materialize(self) -> SpinState:
-        vec = (
-            self.coeff_plus * coherent_expansion(self.j, self.label_plus).amplitudes
-            + self.coeff_minus * coherent_expansion(self.j, self.label_minus).amplitudes
-        )
-        return SpinState(self.j, vec)
+        tj = self.j.twice_value
+        amps = (c * _with_phase(_binomial_weights(tj, lab.u_abs, lab.v_abs), lab) for lab, c in self.components)
+        return SpinState(self.j, sum(amps))
 
 
 def husimi_grid(state: SpinState, n_theta: int, n_phi: int):
@@ -243,7 +269,8 @@ def husimi_grid(state: SpinState, n_theta: int, n_phi: int):
     tj = state.j.twice_value
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    radial = _binomial_weights(tj, thetas[:, None] / 2.0)
+    half = thetas[:, None] / 2.0
+    radial = _binomial_weights(tj, np.cos(half), np.sin(half))
     # <coh(theta,phi)|psi> = sum_k radial_k e^{-ik phi} psi_k
     phase = np.exp(-1j * np.outer(np.arange(tj + 1), phis)) * state.amplitudes[:, None]
     q = np.abs(radial @ phase) ** 2

@@ -2,14 +2,16 @@
 
 The Hamiltonian is H = omega * J_a + (lambda / 2j) * J_a^2 for a in {z, y}.
 Its period is tau = 4 pi j / lambda; after a quarter period an initial
-coherent state |j,gamma> (integer j, axis z, and the linear term's phase
+coherent state |j; u, v> (integer j, axis z, and the linear term's phase
 cleared mod 2pi) splits into the equal-weight superposition
 
-    e^{-i pi/4}/sqrt(2) |j,gamma>  +  (-1)^j e^{i pi/4}/sqrt(2) |j,-gamma>.
+    e^{-i pi/4}/sqrt(2) |j; u, v>  +  (-1)^j e^{i pi/4}/sqrt(2) |j; u, -v>,
 
-Half-integer j does not fit this two-label form (the components come out
-rotated by pi/2 in phi instead); `cat_scan` measures that case rather than
-asserting it.
+that is gamma and -gamma (`predicted_cat`).  The y-axis twist is this one
+seen through a pi/2 x rotation, which only moves labels, so
+`rotated_cat_prediction` is derived from it.  Half-integer j does not fit
+this two-label form (the components come out rotated by pi/2 in phi
+instead); `cat_scan` measures that case rather than asserting it.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
 multiplies amplitudes by phases, and `rotate_x_quarter` uses `su2.rotate`;
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap
+from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, IrrepMismatch, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, rotate, weight_state
@@ -109,11 +111,11 @@ def predicted_cat(j: HalfInteger, gamma) -> CatDecomposition:
     sign = -1.0 if (j.twice_value // 2) % 2 else 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     return CatDecomposition(
-        j=j,
-        label_plus=label,
-        label_minus=label.negated(),
-        coeff_plus=inv_sqrt2 * np.exp(-1j * math.pi / 4.0),
-        coeff_minus=sign * inv_sqrt2 * np.exp(1j * math.pi / 4.0),
+        j,
+        (
+            (label, inv_sqrt2 * np.exp(-1j * math.pi / 4.0)),
+            (label.negated(), sign * inv_sqrt2 * np.exp(1j * math.pi / 4.0)),
+        ),
     )
 
 
@@ -137,11 +139,12 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     prediction route: nothing here assumes how `state` was produced.
     """
     label = as_label(gamma)
-    if label.at_pole or label.gamma == 0:
-        raise ValueError("need a finite nonzero label so the two components differ")
-    # |-gamma| = |gamma|, so both components share one set of radial weights.
-    radial = _binomial_weights(state.j.twice_value, math.atan(abs(label.gamma)))
-    basis = np.column_stack([_with_phase(state.j, radial, lbl).amplitudes for lbl in (label, label.negated())])
+    if label.u_abs * label.v_abs == 0:
+        raise ValueError("need a label off the poles so the two components differ")
+    # |-v| = |v|, so both components share one `_binomial_weights` row; each
+    # column is a SpinState's, as `coherent_expansion` gives it.
+    radial = _binomial_weights(state.j.twice_value, label.u_abs, label.v_abs)
+    basis = np.column_stack([SpinState(state.j, _with_phase(radial, lbl)).amplitudes for lbl in (label, label.negated())])
     coeffs, *_ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
     fid = float(np.linalg.norm(basis @ coeffs))
     return fid, complex(coeffs[0]), complex(coeffs[1])
@@ -184,18 +187,16 @@ def rotate_x_quarter(state: SpinState) -> SpinState:
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:
-    """Extremal-weight superposition reached from |j,j>_z via the y-axis twist.
+    """The quarter-period y-twist of |j,j>_z, derived on labels (integer j).
 
-    Under this package's phase conventions the quarter-period y-twist of
-    |j,j>_z gives e^{-i pi/4}/sqrt(2) on m = +j and e^{+i pi/4}/sqrt(2) on
-    m = -j for every integer j (relative phase e^{i pi/2}, lowest over
-    highest weight); tests freeze this convention.
+    The y-twist is the z-twist conjugated by R = exp(-i (pi/2) Jx): R applied
+    to the predicted cat of R^dag |pole>, each label rotated back by pi/2.
+    That is e^{-i pi/4}/sqrt(2) on m = +j and e^{+i pi/4}/sqrt(2) on m = -j,
+    to rounding, for every integer j; tests freeze this convention.
     """
-    _require_integer(j)
-    amps = np.zeros(j.dim, dtype=np.complex128)
-    amps[-1] = np.exp(-1j * math.pi / 4.0) / math.sqrt(2.0)
-    amps[0] = np.exp(1j * math.pi / 4.0) / math.sqrt(2.0)
-    return SpinState(j, amps)
+    cat = predicted_cat(j, rotate_label(math.inf, "x", -math.pi / 2.0))
+    back = tuple((rotate_label(label, "x", math.pi / 2.0), c) for label, c in cat.components)
+    return CatDecomposition(j, back).materialize()
 
 
 @dataclass(frozen=True)

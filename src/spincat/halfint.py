@@ -1,8 +1,8 @@
-"""Exact spin and weight labels.
+"""Exact spin labels.
 
-Spin quantum numbers are integers or half-odd-integers.  Storing 2j and 2m
-as plain ints keeps every label exact; floats only ever appear in matrix
-entries, never in bookkeeping.
+Spin quantum numbers are integers or half-odd-integers.  Storing 2j as a
+plain int keeps every label exact; floats only ever appear in matrix
+entries and `m_values`, never in bookkeeping.
 """
 from __future__ import annotations
 
@@ -54,36 +54,6 @@ class HalfInteger:
         if self.is_integer:
             return str(self.twice_value // 2)
         return f"{self.twice_value}/2"
-
-
-@dataclass(frozen=True)
-class WeightLabel:
-    """Weight m within the spin-j representation, stored as 2m."""
-
-    j: HalfInteger
-    twice_m: int
-
-    def __post_init__(self):
-        tj, tm = self.j.twice_value, self.twice_m
-        if abs(tm) > tj:
-            raise ValueError(f"2m={tm} outside [-{tj}, {tj}]")
-        if (tm - tj) % 2 != 0:
-            raise ValueError(f"2m={tm} has wrong parity for 2j={tj}")
-
-    @property
-    def value(self) -> float:
-        return self.twice_m / 2.0
-
-    @property
-    def index(self) -> int:
-        """Position of this weight in the ascending m = -j..+j ordering."""
-        return (self.twice_m + self.j.twice_value) // 2
-
-
-def weights(j: HalfInteger) -> tuple[WeightLabel, ...]:
-    """All weights of the spin-j representation, ascending."""
-    tj = j.twice_value
-    return tuple(WeightLabel(j, tm) for tm in range(-tj, tj + 1, 2))
 
 
 def m_values(j: HalfInteger) -> np.ndarray:

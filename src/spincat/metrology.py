@@ -19,12 +19,6 @@ import numpy as np
 from .schwinger import NoonState, TwoModeState
 
 
-def apply_phase_shift(state: TwoModeState, phi: float) -> TwoModeState:
-    """Phase shift in the a arm: amplitude at n_a picks up e^{-i n_a phi}."""
-    n_a = np.arange(state.n_total + 1)
-    return TwoModeState(state.n_total, state.amplitudes * np.exp(-1j * phi * n_a))
-
-
 def _coherence_moments(state: TwoModeState, phi: float | np.ndarray) -> tuple:
     """(<A>, <A^2>, d<A>/dphi) for A = |N,0><0,N| + h.c. after a shift by phi.
 

@@ -8,9 +8,9 @@ generator densely; it serves `quarter_period_unitary`, `x_rotation` and
 verify's conjugation route, and is the reference the fast paths are tested
 against.
 
-For the last two values of 2j, each generator matrix and Jx's eigensystem
-is built on first use and then shared (`_generators`); every cached array
-is read-only.
+For the last two values of 2j up to 400, each generator matrix and Jx's
+eigensystem is built on first use and then shared (`_generators`); every
+cached array is read-only.  Past 2j = 400 they are built afresh per call.
 
 Conventions used everywhere in this package:
 
@@ -180,27 +180,34 @@ def _generators(twice_j: int) -> _Generators:
     return _Generators(HalfInteger(twice_j))
 
 
+# No pipeline builds a dense generator past d = 401, so a larger one is not
+# kept: it would pin O(d^2) memory after its caller is done with it.
+def _generators_of(j: HalfInteger) -> _Generators:
+    """The shared `_generators(2j)` up to 2j = 400; past it, a set nothing keeps."""
+    return _generators(j.twice_value) if j.twice_value <= 400 else _Generators(j)
+
+
 def jz(j: HalfInteger) -> SpinOperator:
     """Diagonal weight operator, eigenvalues m = -j..+j."""
-    return _generators(j.twice_value).z
+    return _generators_of(j).z
 
 
 def jplus(j: HalfInteger) -> SpinOperator:
     """Raising operator; maps |j,m> to sqrt(j(j+1)-m(m+1)) |j,m+1>."""
-    return _generators(j.twice_value).plus
+    return _generators_of(j).plus
 
 
 def jminus(j: HalfInteger) -> SpinOperator:
     """Lowering operator, the adjoint of jplus."""
-    return _generators(j.twice_value).minus
+    return _generators_of(j).minus
 
 
 def jx(j: HalfInteger) -> SpinOperator:
-    return _generators(j.twice_value).x
+    return _generators_of(j).x
 
 
 def jy(j: HalfInteger) -> SpinOperator:
-    return _generators(j.twice_value).y
+    return _generators_of(j).y
 
 
 def casimir(j: HalfInteger) -> SpinOperator:

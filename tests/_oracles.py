@@ -7,6 +7,7 @@ The operator helpers at the end act on the library's state and operator
 types through their dense matrices only.
 """
 import math
+import sys
 
 import numpy as np
 
@@ -15,6 +16,7 @@ from spincat import (
     IrrepMismatch,
     SpinOperator,
     SpinState,
+    TwoModeState,
     as_label,
     coherent_expansion,
     expm_hermitian,
@@ -32,6 +34,29 @@ def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
     return amps / (1.0 + abs(gamma) ** 2) ** (twice_j / 2.0)
 
 
+def coherent_expansion_trig(j: HalfInteger, gamma) -> SpinState:
+    """|j,gamma> from theta/2 = atan|gamma|: sqrt(C(2j,k)) cos^(2j-k) sin^k e^{ik arg gamma},
+    with the pole set by hand; binomials past the float range go through
+    exp(log C / 2 + (2j-k) log cos + k log sin).  The pre-spinor route."""
+    g, tj = complex(gamma), j.twice_value
+    amps = np.zeros(j.dim, dtype=np.complex128)
+    if math.isinf(abs(g)):
+        amps[-1] = 1.0
+        return SpinState(j, amps)
+    half = math.atan(abs(g))
+    binomials = [math.comb(tj, i) for i in range(tj + 1)]
+    big = [i for i, c in enumerate(binomials) if c > sys.float_info.max]
+    k = np.arange(tj + 1)
+    sqrt_c = np.sqrt(np.array([c if c <= sys.float_info.max else 0 for c in binomials], dtype=float))
+    radial = sqrt_c * np.cos(half) ** (tj - k) * np.sin(half) ** k
+    if big:
+        kb = k[big]
+        half_log_c = 0.5 * np.array([math.log(binomials[i]) for i in big])
+        with np.errstate(divide="ignore"):
+            radial[big] = np.exp(half_log_c + (tj - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half)))
+    return SpinState(j, radial * np.exp(1j * np.angle(g) * k))
+
+
 def coherent_overlap_formula(twice_j: int, g1: complex, g2: complex) -> complex:
     """<j,g1|j,g2> = (1 + conj(g1) g2)^{2j} / ((1+|g1|^2)(1+|g2|^2))^j."""
     num = (1.0 + np.conj(g1) * g2) ** twice_j
@@ -43,6 +68,12 @@ def quarter_phase_factors(twice_j: int) -> np.ndarray:
     """exp(-i pi m^2 / 2) over the ascending weights of one irrep."""
     m = np.arange(-twice_j, twice_j + 1, 2) / 2.0
     return np.exp(-1j * math.pi * m**2 / 2.0)
+
+
+def apply_phase_shift(state: TwoModeState, phi: float) -> TwoModeState:
+    """Phase shift in the a arm: amplitude at n_a picks up e^{-i n_a phi}."""
+    n_a = np.arange(state.n_total + 1)
+    return TwoModeState(state.n_total, state.amplitudes * np.exp(-1j * phi * n_a))
 
 
 def extreme_coherence_matrix(n_total: int) -> np.ndarray:

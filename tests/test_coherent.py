@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     coherent_amplitudes_direct,
+    coherent_expansion_trig,
     coherent_overlap_formula,
     expectation,
     jy_extremal_states,
@@ -19,7 +20,7 @@ from spincat import (
     HalfInteger,
     IrrepMismatch,
     PoleLabel,
-    StereoLabel,
+    SpinorLabel,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -28,6 +29,8 @@ from spincat import (
     jy,
     mean_spin,
     overlap,
+    rotate,
+    rotate_label,
     rotation_operator,
     stereographic,
     weight_state,
@@ -49,7 +52,7 @@ def test_expansion_frozen_examples():
     s = coherent_expansion(HalfInteger(1), 1.0)
     assert np.allclose(s.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)], atol=1e-15)
     # pole puts all weight on m = +j
-    s = coherent_expansion(HalfInteger(9), StereoLabel.pole())
+    s = coherent_expansion(HalfInteger(9), as_label(math.inf))
     assert s.amplitudes[-1] == 1.0 and np.count_nonzero(s.amplitudes) == 1
 
 
@@ -101,17 +104,63 @@ def test_rotation_operator_matches_dense_oracle():
     assert worst_column <= 1e-13
 
 
+@pytest.mark.parametrize("tj", [0, 1, 2, 21, 60, 200, 1029, 1030, 1100])
+def test_expansion_bit_identical_to_trig_route(tj):
+    # 1030 and 1100 take the log-space binomials; inf is the pole (0, 1).
+    rng = np.random.default_rng(tj)
+    randoms = rng.uniform(0.05, 3.0, 3) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
+    j = HalfInteger(tj)
+    for g in (0.0, 1.0, 1j, -1.7 + 0.2j, math.inf, *randoms):
+        assert np.array_equal(coherent_expansion(j, g).amplitudes, coherent_expansion_trig(j, g).amplitudes)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("tj", [1, 2, 7, 40, 101, 400])
+def test_rotate_label_matches_state_rotation(axis, tj):
+    # Entry by entry, so the global phase is checked too.
+    rng = np.random.default_rng(tj)
+    j = HalfInteger(tj)
+    randoms = rng.uniform(0.05, 3.0, 3) * np.exp(1j * rng.uniform(-math.pi, math.pi, 3))
+    for g in (math.inf, 0.0, *randoms):
+        for angle in (math.pi / 2, -math.pi / 2, *rng.uniform(-2 * math.pi, 2 * math.pi, 2)):
+            label = rotate_label(g, axis, angle)
+            want = rotate(coherent_expansion(j, g), axis, angle).amplitudes
+            assert np.max(np.abs(coherent_expansion(j, label).amplitudes - want)) <= 1e-13
+            # and on from the rotated label, whose u carries a phase
+            again = rotate(coherent_expansion(j, label), axis, angle).amplitudes
+            assert np.max(np.abs(coherent_expansion(j, rotate_label(label, axis, angle)).amplitudes - again)) <= 1e-13
+
+
+def test_spinor_label_gamma_and_negation():
+    for g in (0.0, 1j, -1.7 + 0.2j, 3e5 - 2j):
+        label = as_label(g)
+        assert label.gamma == g and label.negated().gamma == -g
+        assert label.u_abs**2 + label.v_abs**2 == pytest.approx(1.0, abs=1e-15)
+    pole = as_label(math.inf)
+    assert (pole.u_abs, pole.v_abs) == (0.0, 1.0) and math.isinf(abs(pole.gamma))
+    # -v at the pole is the same ray, (-1)^{2j} |j,+j>
+    assert coherent_expansion(HalfInteger(3), pole.negated()).amplitudes[-1] == pytest.approx(-1.0, abs=1e-15)
+    with pytest.raises(ValueError):
+        as_label(complex(math.nan, 0.0))
+    with pytest.raises(ValueError):
+        SpinorLabel(0.6, 0.6, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        SpinorLabel(0.0, 1.0, 1.0, 1.0)  # |u| = 0 with a u direction
+    with pytest.raises(ValueError):
+        rotate_label(pole, "z", 1.0)
+
+
 def test_rotation_rejects_pole():
     with pytest.raises(PoleLabel):
-        rotation_operator(HalfInteger(2), StereoLabel.pole())
+        rotation_operator(HalfInteger(2), as_label(math.inf))
 
 
 def test_stereographic_frozen_points():
     assert stereographic(BlochDirection(math.pi / 2, math.pi / 2)).gamma == pytest.approx(1j)
     assert stereographic(BlochDirection(0.0, 1.2)).gamma == 0.0
     assert stereographic(BlochDirection(math.pi / 2, 0.0)).gamma == pytest.approx(1.0)
-    assert stereographic(BlochDirection(math.pi, 0.3)).at_pole
-    assert bloch_direction(StereoLabel.pole()).theta == math.pi
+    assert math.isinf(abs(stereographic(BlochDirection(math.pi, 0.3)).gamma))
+    assert bloch_direction(as_label(math.inf)).theta == math.pi
 
 
 @given(
@@ -197,7 +246,7 @@ def test_mean_spin_frozen():
     assert np.allclose(mean_spin(weight_state(j, 6)), [0, 0, 3], atol=1e-13)
     # |j,i> sits on the equator pointing along -y under this convention
     assert np.allclose(mean_spin(coherent_expansion(j, 1j)), [0, -3, 0], atol=1e-13)
-    assert np.allclose(mean_spin(coherent_expansion(j, StereoLabel.pole())), [0, 0, 3], atol=1e-13)
+    assert np.allclose(mean_spin(coherent_expansion(j, as_label(math.inf))), [0, 0, 3], atol=1e-13)
 
 
 @given(st.integers(min_value=1, max_value=20), st.floats(0, 2 * math.pi, exclude_max=True))
@@ -223,14 +272,15 @@ def test_cat_decomposition_materializes_to_unit_norm():
     g = 0.3 + 0.4j
     cat = CatDecomposition(
         j,
-        as_label(g),
-        as_label(-g),
-        np.exp(-1j * math.pi / 4) / math.sqrt(2),
-        np.exp(1j * math.pi / 4) / math.sqrt(2),
+        (
+            (as_label(g), np.exp(-1j * math.pi / 4) / math.sqrt(2)),
+            (as_label(-g), np.exp(1j * math.pi / 4) / math.sqrt(2)),
+        ),
     )
+    (_, coeff_plus), (_, coeff_minus) = cat.components
     raw = (
-        cat.coeff_plus * coherent_expansion(j, g).amplitudes
-        + cat.coeff_minus * coherent_expansion(j, -g).amplitudes
+        coeff_plus * coherent_expansion(j, g).amplitudes
+        + coeff_minus * coherent_expansion(j, -g).amplitudes
     )
     assert np.linalg.norm(raw) == pytest.approx(1.0, abs=1e-12)
     assert cat.materialize().norm() == pytest.approx(1.0, abs=1e-12)
@@ -262,7 +312,7 @@ def test_binomial_weights_bit_identical_to_comb(half):
         k = np.arange(tj + 1)
         sqrt_binomials = np.sqrt(np.array([math.comb(tj, i) for i in range(tj + 1)], dtype=float))
         want = sqrt_binomials * np.cos(half) ** (tj - k) * np.sin(half) ** k
-        assert np.array_equal(_binomial_weights(tj, half), want)
+        assert np.array_equal(_binomial_weights(tj, np.cos(half), np.sin(half)), want)
 
 
 def test_sqrt_binomials_cache_is_read_only_and_small():
@@ -272,10 +322,11 @@ def test_sqrt_binomials_cache_is_read_only_and_small():
                 arr[...] = 0
     assert _sqrt_binomials.cache_info().currsize <= 2
     # The weights handed out are fresh arrays: writing one leaves the next call unchanged.
-    w = _binomial_weights(7, 0.4)
+    cos, sin = np.cos(0.4), np.sin(0.4)
+    w = _binomial_weights(7, cos, sin)
     w[:] = 0.0
-    assert np.array_equal(_binomial_weights(7, 0.4), _binomial_weights(7, np.array([[0.4]]))[0])
-    assert np.all(_binomial_weights(7, 0.4) > 0)
+    assert np.array_equal(_binomial_weights(7, cos, sin), _binomial_weights(7, np.array([[cos]]), np.array([[sin]]))[0])
+    assert np.all(_binomial_weights(7, cos, sin) > 0)
 
 
 @pytest.mark.parametrize("thetas", [1.1, np.array([[0.0], [0.4], [math.pi / 2], [2.9], [math.pi]])], ids=["scalar", "column"])
@@ -285,7 +336,8 @@ def test_binomial_weights_past_float_range(tj, thetas):
     # put log 0 = -inf into the log form, which must give 0, not NaN.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        w = _binomial_weights(tj, np.divide(thetas, 2.0))
+        half = np.divide(thetas, 2.0)
+        w = _binomial_weights(tj, np.cos(half), np.sin(half))
     j = tj / 2
     m = np.arange(tj + 1) - j
     assert np.isfinite(w).all()

@@ -139,12 +139,12 @@ def test_full_period_returns_identity_for_integer_j():
 
 
 def test_predicted_cat_coefficients():
-    c = predicted_cat(HalfInteger(2), 1j)  # j = 1, odd
-    assert c.coeff_plus == pytest.approx(np.exp(-1j * math.pi / 4) / math.sqrt(2))
-    assert c.coeff_minus == pytest.approx(-np.exp(1j * math.pi / 4) / math.sqrt(2))
-    assert c.label_plus.gamma == 1j and c.label_minus.gamma == -1j
-    c = predicted_cat(HalfInteger(4), 1j)  # j = 2, even
-    assert c.coeff_minus == pytest.approx(np.exp(1j * math.pi / 4) / math.sqrt(2))
+    (label_plus, coeff_plus), (label_minus, coeff_minus) = predicted_cat(HalfInteger(2), 1j).components  # j = 1, odd
+    assert coeff_plus == pytest.approx(np.exp(-1j * math.pi / 4) / math.sqrt(2))
+    assert coeff_minus == pytest.approx(-np.exp(1j * math.pi / 4) / math.sqrt(2))
+    assert label_plus.gamma == 1j and label_minus.gamma == -1j
+    (_, coeff_minus) = predicted_cat(HalfInteger(4), 1j).components[1]  # j = 2, even
+    assert coeff_minus == pytest.approx(np.exp(1j * math.pi / 4) / math.sqrt(2))
     with pytest.raises(HalfIntegerUnsupported):
         predicted_cat(HalfInteger(3), 1j)
 
@@ -251,6 +251,27 @@ def test_rotated_identity_frozen_j1():
     hand = np.array([np.exp(1j * math.pi / 4), 0.0, np.exp(-1j * math.pi / 4)]) / math.sqrt(2)
     assert abs(np.vdot(hand, final.amplitudes)) > 1 - 1e-12
     assert abs(np.vdot(rotated_cat_prediction(j).amplitudes, final.amplitudes)) > 1 - 1e-12
+
+
+def test_rotated_cat_prediction_matches_hand_set_amplitudes():
+    # The amplitudes the prediction was once written as, entry by entry.
+    for jj in range(1, 61):
+        j = HalfInteger(2 * jj)
+        hand = np.zeros(j.dim, dtype=complex)
+        hand[-1] = np.exp(-1j * math.pi / 4) / math.sqrt(2)
+        hand[0] = np.exp(1j * math.pi / 4) / math.sqrt(2)
+        assert np.max(np.abs(rotated_cat_prediction(j).amplitudes - hand)) <= 1e-13
+    with pytest.raises(HalfIntegerUnsupported):
+        rotated_cat_prediction(HalfInteger(3))
+
+
+def test_quarter_twist_of_the_pole_is_its_predicted_cat():
+    # At the pole both labels give |j,+j>, so the cat is a phase times it.
+    for jj in range(1, 21):
+        j = HalfInteger(2 * jj)
+        twisted = quarter_period_evolve(KerrHamiltonianSpec(j), weight_state(j, 2 * jj)).amplitudes
+        predicted = predicted_cat(j, math.inf).materialize().amplitudes
+        assert np.max(np.abs(twisted - predicted)) <= 1e-13
 
 
 @pytest.mark.parametrize("jj", [1, 2, 3, 7, 15])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spincat import HalfInteger, WeightLabel, m_values, weights
+from spincat import HalfInteger, m_values
 
 
 def test_basic_properties():
@@ -26,17 +26,6 @@ def test_negative_rejected():
         HalfInteger(-1)
     with pytest.raises(TypeError):
         HalfInteger(1.5)
-
-
-def test_weights_parity_and_bounds():
-    j = HalfInteger(3)
-    ws = weights(j)
-    assert [w.twice_m for w in ws] == [-3, -1, 1, 3]
-    assert [w.index for w in ws] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        WeightLabel(j, 5)
-    with pytest.raises(ValueError):
-        WeightLabel(j, 0)  # wrong parity for half-odd j
 
 
 def test_m_values_ascending():

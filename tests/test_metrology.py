@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import binomial_probe_amplitudes, extreme_coherence_matrix
+from _oracles import apply_phase_shift, binomial_probe_amplitudes, extreme_coherence_matrix
 from spincat import (
     NoonState,
     TwoModeState,
-    apply_phase_shift,
     noon_signal,
     phase_uncertainty,
     quantum_fisher_information,

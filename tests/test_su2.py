@@ -130,6 +130,13 @@ def test_cached_generators_are_read_only():
     assert jx(j).matrix.tobytes() == chained_generators(j)["jx"].matrix.tobytes()
 
 
+def test_generator_cache_keeps_nothing_past_2j_400():
+    assert jx(HalfInteger(400)) is jx(HalfInteger(400))
+    big = jx(HalfInteger(401))
+    assert big is not jx(HalfInteger(401))
+    assert big.matrix.tobytes() == chained_generators(HalfInteger(401))["jx"].matrix.tobytes()
+
+
 def test_generator_cache_under_threads():
     # More threads than cores, switching often, each cycling through more 2j
     # values than the cache holds: every result must still be the exact,
