@@ -10,6 +10,7 @@ from .errors import (
     HalfIntegerUnsupported,
     InvalidN,
     IrrepMismatch,
+    NonFinitePhase,
     NonHermitianInput,
     PoleLabel,
     SpinCatError,
@@ -46,14 +47,12 @@ from .coherent import (
 )
 from .dynamics import (
     CatScanRow,
-    KerrHamiltonianSpec,
     RotatedIdentityResult,
     cat_scan,
     fit_two_component,
     kerr_hamiltonian,
     predicted_cat,
     quarter_period_evolve,
-    rotate_x_quarter,
     rotated_cat_prediction,
     verify_cat_identity,
     verify_rotated_identity,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import BlochDirection, SpinorLabel, as_label, coherent_expansion, husimi_grid, stereographic
-from .dynamics import KerrHamiltonianSpec, cat_scan, fit_two_component, quarter_period_evolve
+from .dynamics import cat_scan, fit_two_component, quarter_period_evolve
 from .errors import SpinCatError, StateFileError
 from .halfint import HalfInteger
 from .metrology import scaling_table
@@ -178,8 +178,7 @@ def cmd_cat(parser, args) -> int:
     if label.u_abs * label.v_abs == 0:
         parser.error("the cat construction needs a finite nonzero gamma")
     j = HalfInteger(args.twice_j)
-    spec = KerrHamiltonianSpec(j, omega=args.omega, lam=1.0, axis="z")
-    evolved = quarter_period_evolve(spec, coherent_expansion(j, label))
+    evolved = quarter_period_evolve(coherent_expansion(j, label), args.omega)
     fid, c_plus, c_minus = fit_two_component(evolved, label)
     meta = {"kind": "quarter-period-cat", "omega": repr(args.omega), "gamma": repr(label.gamma)}
     rc = _save(evolved, args.out, meta)

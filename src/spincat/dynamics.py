@@ -1,9 +1,12 @@
 """Nonlinear twisting dynamics and the two-component-cat analysis.
 
-The Hamiltonian is H = omega * J_a + (lambda / 2j) * J_a^2 for a in {z, y}.
-Its period is tau = 4 pi j / lambda; after a quarter period an initial
-coherent state |j; u, v> (integer j, axis z, and the linear term's phase
-cleared mod 2pi) splits into the equal-weight superposition
+The Hamiltonian is H = omega * J_a + J_a^2 / 2j for a in {z, y}, with
+period tau = 4 pi j.  A nonlinearity strength lambda on J_a^2 would only
+set the time unit: at their quarter periods (omega, lambda) and
+(omega / lambda, 1) reach the same state, so there is none.  After a
+quarter period an initial coherent state |j; u, v> (integer j, axis z, and
+the linear term's phase cleared mod 2pi) splits into the equal-weight
+superposition
 
     e^{-i pi/4}/sqrt(2) |j; u, v>  +  (-1)^j e^{i pi/4}/sqrt(2) |j; u, -v>,
 
@@ -14,11 +17,10 @@ this two-label form (the components come out rotated by pi/2 in phi
 instead); `cat_scan` measures that case rather than asserting it.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
-multiplies amplitudes by phases, and `rotate_x_quarter` uses `su2.rotate`;
-neither builds a d x d complex unitary.  `quarter_period_unitary`, `x_rotation` and the
-conjugation route of `verify_rotated_identity` return or compose dense
-operators from `expm_hermitian`, the reference the state kernels are
-tested against.
+multiplies amplitudes by phases and builds no d x d complex unitary.
+`quarter_period_unitary`, `x_rotation` and the conjugation route of
+`verify_rotated_identity` return or compose dense operators from
+`expm_hermitian`, the reference the state kernels are tested against.
 """
 from __future__ import annotations
 
@@ -28,71 +30,57 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
-from .errors import HalfIntegerUnsupported, IrrepMismatch, ZeroSpin
+from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, rotate, weight_state
+from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, weight_state
 
 _OMEGA_GATE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class KerrHamiltonianSpec:
-    """Parameters of the twisting Hamiltonian on one irrep."""
-
-    j: HalfInteger
-    omega: float = 0.0
-    lam: float = 1.0
-    axis: str = "z"
-
-    def __post_init__(self):
-        if self.j.twice_value == 0:
-            raise ZeroSpin("j = 0 has no twisting dynamics")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.axis not in ("z", "y"):
-            raise ValueError(f"axis must be 'z' or 'y', got {self.axis!r}")
-
-    @property
-    def period(self) -> float:
-        """tau = 4 pi j / lambda."""
-        return 2.0 * math.pi * self.j.twice_value / self.lam
-
-    @property
-    def quarter_period(self) -> float:
-        return self.period / 4.0
+def _quarter_period(j: HalfInteger) -> float:
+    """tau/4 = pi j, a quarter of the twist's period 4 pi j."""
+    if j.twice_value == 0:
+        raise ZeroSpin("j = 0 has no twisting dynamics")
+    return 2.0 * math.pi * j.twice_value / 4.0
 
 
-def kerr_hamiltonian(spec: KerrHamiltonianSpec) -> SpinOperator:
-    """omega * J_a + (lambda / 2j) * J_a^2 for the spec's axis."""
-    gen = (jz if spec.axis == "z" else jy)(spec.j).matrix
-    return SpinOperator(spec.j, spec.omega * gen + (spec.lam / spec.j.twice_value) * gen @ gen)
+def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
+    """omega * J_a + J_a^2 / 2j for a = axis, z or y."""
+    if axis not in ("z", "y"):
+        raise ValueError(f"axis must be 'z' or 'y', got {axis!r}")
+    _quarter_period(j)  # raises ZeroSpin at j = 0
+    gen = (jz if axis == "z" else jy)(j).matrix
+    return SpinOperator(j, omega * gen + (1.0 / j.twice_value) * gen @ gen)
 
 
-def quarter_period_unitary(spec: KerrHamiltonianSpec) -> SpinOperator:
-    return expm_hermitian(kerr_hamiltonian(spec), spec.quarter_period)
+def quarter_period_unitary(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
+    return expm_hermitian(kerr_hamiltonian(j, omega, axis), _quarter_period(j))
 
 
-def quarter_period_evolve(spec: KerrHamiltonianSpec, state: SpinState) -> SpinState:
-    """Evolve `state` for one quarter period under an axis-z spec.
+def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
+    """Evolve `state` for one quarter period of the axis-z twist.
 
-    H is diagonal, h_m = omega m + (lambda/2j) m^2, so the evolution is
-    exp(-i h tau/4) applied elementwise.
+    H is diagonal, h_m = omega m + m^2 / 2j, so the evolution is
+    exp(-i h tau/4) applied elementwise.  An omega so large that this
+    phase overflows raises `NonFinitePhase`.
     """
-    if spec.axis != "z":
-        raise ValueError("quarter_period_evolve expects an axis-z spec")
-    if state.j != spec.j:
-        raise IrrepMismatch("state and Hamiltonian live in different irreps")
-    m = m_values(spec.j)
-    h = spec.omega * m + (spec.lam / spec.j.twice_value) * (m * m)
-    return SpinState(spec.j, np.exp(-1j * h * spec.quarter_period) * state.amplitudes)
+    j = state.j
+    quarter = _quarter_period(j)
+    m = m_values(j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = omega * m + (1.0 / j.twice_value) * (m * m)
+        phase = -1j * h * quarter
+    if not np.isfinite(phase).all():
+        raise NonFinitePhase(f"omega={omega} makes the quarter-period phase overflow at j={j}")
+    return SpinState(j, np.exp(phase) * state.amplitudes)
 
 
-def _require_cleared_linear_phase(spec: KerrHamiltonianSpec):
+def _require_cleared_linear_phase(j: HalfInteger, omega: float):
     """The two-component identities need omega * tau/4 = 0 (mod 2pi)."""
-    residue = math.remainder(spec.omega * spec.quarter_period, 2.0 * math.pi)
+    residue = math.remainder(omega * _quarter_period(j), 2.0 * math.pi)
     if abs(residue) > _OMEGA_GATE_TOL:
         raise ValueError(
-            f"omega={spec.omega} leaves linear phase {residue:.3e} (mod 2pi); "
+            f"omega={omega} leaves linear phase {residue:.3e} (mod 2pi); "
             "the cat identity only holds when it clears"
         )
 
@@ -124,10 +112,9 @@ def verify_cat_identity(j: HalfInteger, gamma, omega: float = 0.0) -> float:
 
     Contract: >= 1 - 1e-10 for integer j whenever the omega gate passes.
     """
-    spec = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="z")
     _require_integer(j)
-    _require_cleared_linear_phase(spec)
-    evolved = quarter_period_evolve(spec, coherent_expansion(j, gamma))
+    _require_cleared_linear_phase(j, omega)
+    evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
     return abs(overlap(evolved, predicted_cat(j, gamma).materialize()))
 
 
@@ -169,8 +156,7 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
     rows = []
     for j in j_list:
         for omega in omega_list:
-            spec = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="z")
-            evolved = quarter_period_evolve(spec, coherent_expansion(j, gamma))
+            evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
             fid, c_plus, c_minus = fit_two_component(evolved, gamma)
             rows.append(CatScanRow(j.twice_value, omega, fid, c_plus, c_minus))
     return rows
@@ -179,11 +165,6 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
 def x_rotation(j: HalfInteger, angle: float) -> SpinOperator:
     """exp(-i * angle * Jx)."""
     return expm_hermitian(jx(j), angle)
-
-
-def rotate_x_quarter(state: SpinState) -> SpinState:
-    """Rotate a state by pi/2 about the x axis, exp(-i (pi/2) Jx)."""
-    return rotate(state, "x", math.pi / 2.0)
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:
@@ -211,21 +192,19 @@ class RotatedIdentityResult:
 def verify_rotated_identity(j: HalfInteger, omega: float = 0.0) -> RotatedIdentityResult:
     """Drive |j,j>_z with the y-axis twist, both directly and by conjugation.
 
-    Route one exponentiates omega * Jy + (lambda/2j) * Jy^2 directly; route
+    Route one exponentiates omega * Jy + Jy^2 / 2j directly; route
     two conjugates the z-axis evolution with the pi/2 x rotation.  Both are
     compared to `rotated_cat_prediction`; contract: all three fidelities
     >= 1 - 1e-10 for integer j when the omega gate passes.
     """
     _require_integer(j)
-    spec_z = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="z")
-    spec_y = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="y")
-    _require_cleared_linear_phase(spec_z)
+    _require_cleared_linear_phase(j, omega)
 
     start = weight_state(j, j.twice_value)
-    direct = quarter_period_unitary(spec_y).apply(start)
+    direct = quarter_period_unitary(j, omega, "y").apply(start)
 
     rx = x_rotation(j, math.pi / 2.0)
-    conjugated = (rx @ quarter_period_unitary(spec_z) @ rx.dagger()).apply(start)
+    conjugated = (rx @ quarter_period_unitary(j, omega) @ rx.dagger()).apply(start)
 
     target = rotated_cat_prediction(j)
     return RotatedIdentityResult(

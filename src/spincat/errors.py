@@ -21,6 +21,10 @@ class ZeroSpin(SpinCatError):
     """j = 0 has no nonlinear dynamics; the evolution period is undefined."""
 
 
+class NonFinitePhase(SpinCatError):
+    """The quarter-period twist phase h_m * tau/4 overflows the float range."""
+
+
 class HalfIntegerUnsupported(SpinCatError):
     """The requested identity is only guaranteed for integer j."""
 

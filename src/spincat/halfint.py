@@ -26,13 +26,6 @@ class HalfInteger:
             raise ValueError(f"twice_value must be >= 0, got {self.twice_value}")
         object.__setattr__(self, "twice_value", int(self.twice_value))
 
-    @classmethod
-    def from_value(cls, value: float) -> "HalfInteger":
-        twice = round(2 * value)
-        if abs(2 * value - twice) > 1e-12:
-            raise ValueError(f"{value} is not an integer or half-odd-integer")
-        return cls(twice)
-
     @property
     def value(self) -> float:
         return self.twice_value / 2.0

@@ -15,7 +15,7 @@ from numbers import Integral
 import numpy as np
 
 from .coherent import coherent_expansion
-from .dynamics import KerrHamiltonianSpec, quarter_period_evolve, rotate_x_quarter
+from .dynamics import quarter_period_evolve
 from .errors import InvalidN
 from .halfint import HalfInteger
 from .su2 import SpinState, _unit_vector, jminus, jplus, jz, rotate
@@ -127,14 +127,9 @@ def make_noon(n_total: int, omega: float = 0.0, gamma_choice: str = "i") -> TwoM
     if gamma_choice not in ("i", "1"):
         raise ValueError(f"gamma_choice must be 'i' or '1', got {gamma_choice!r}")
     j = HalfInteger(n_total)
-    spec = KerrHamiltonianSpec(j, omega=omega, lam=1.0, axis="z")
-    gamma = 1j if gamma_choice == "i" else 1.0
-    evolved = quarter_period_evolve(spec, coherent_expansion(j, gamma))
-    if gamma_choice == "i":
-        rotated = rotate_x_quarter(evolved)
-    else:
-        rotated = rotate(evolved, "y", math.pi / 2.0)
-    return spin_to_fock(rotated)
+    gamma, axis = (1j, "x") if gamma_choice == "i" else (1.0, "y")
+    evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
+    return spin_to_fock(rotate(evolved, axis, math.pi / 2.0))
 
 
 def noon_fidelity(state: TwoModeState) -> tuple[float, float]:
@@ -154,5 +149,4 @@ def noon_fidelity(state: TwoModeState) -> tuple[float, float]:
 
 def off_support_mass(state: TwoModeState) -> float:
     """Probability mass outside the two extremal occupations."""
-    inner = state.amplitudes[1:-1] if state.n_total >= 1 else state.amplitudes[:0]
-    return float(np.sum(np.abs(inner) ** 2))
+    return float(np.sum(np.abs(state.amplitudes[1:-1]) ** 2))

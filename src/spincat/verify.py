@@ -21,7 +21,6 @@ from .coherent import (
     BlochDirection,
 )
 from .dynamics import (
-    KerrHamiltonianSpec,
     fit_two_component,
     quarter_period_evolve,
     verify_cat_identity,
@@ -156,9 +155,7 @@ def _cat_section(rng, max_twice_j: int):
         gammas = [1j, 1.0, complex(_random_gammas(rng, 1)[0])]
         for g in gammas:
             worst_fid = min(worst_fid, verify_cat_identity(j, g, omega=0.0))
-            evolved = quarter_period_evolve(
-                KerrHamiltonianSpec(j), coherent_expansion(j, g)
-            )
+            evolved = quarter_period_evolve(coherent_expansion(j, g))
             _, c_plus, c_minus = fit_two_component(evolved, g)
             want = math.pi / 2.0 + jj * math.pi
             err = abs(math.remainder(float(np.angle(c_minus / c_plus)) - want, 2 * math.pi))

@@ -70,6 +70,17 @@ def quarter_phase_factors(twice_j: int) -> np.ndarray:
     return np.exp(-1j * math.pi * m**2 / 2.0)
 
 
+def quarter_evolve_with_lambda(state: SpinState, omega: float, lam: float) -> np.ndarray:
+    """Amplitudes of the axis-z twist with a nonlinearity strength lam:
+    h = omega m + (lam/2j) m^2 applied for tau/4 = 2 pi 2j / lam / 4, in
+    that order of float operations."""
+    tj = state.j.twice_value
+    m = m_values(state.j)
+    h = omega * m + (lam / tj) * (m * m)
+    quarter = 2.0 * math.pi * tj / lam / 4.0
+    return SpinState(state.j, np.exp(-1j * h * quarter) * state.amplitudes).amplitudes
+
+
 def apply_phase_shift(state: TwoModeState, phi: float) -> TwoModeState:
     """Phase shift in the a arm: amplitude at n_a picks up e^{-i n_a phi}."""
     n_a = np.arange(state.n_total + 1)

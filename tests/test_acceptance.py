@@ -13,7 +13,6 @@ from _oracles import commutator
 from spincat import (
     BlochDirection,
     HalfInteger,
-    KerrHamiltonianSpec,
     bloch_direction,
     casimir,
     coherent_expansion,
@@ -122,7 +121,7 @@ def test_criterion_3_cat_identity():
         random_g = rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         for g in (1j, 1.0, random_g):
             worst_fid = min(worst_fid, verify_cat_identity(j, g, omega=0.0))
-            evolved = quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, g))
+            evolved = quarter_period_evolve(coherent_expansion(j, g))
             _, c_plus, c_minus = fit_two_component(evolved, g)
             err = abs(
                 math.remainder(

@@ -349,6 +349,9 @@ def test_parser_is_reused_across_calls(capsys, monkeypatch):
         ("husimi", "--in", "{dir}/s.json", "--n-phi", "0"),
         ("verify", "--max-twice-j", "-5"),
         ("scan", "--twice-j-list", "2,-1"),
+        ("cat", "--twice-j", "2", "--gamma", "1", "--omega", "1e308", "--out", "{dir}/o.json"),
+        ("noon", "--n", "4", "--omega", "1e308", "--out", "{dir}/o.json"),
+        ("scan", "--twice-j-list", "2", "--omega", "1e308"),
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
@@ -364,7 +367,7 @@ def test_usage_error_on_unknown_command(capsys):
 
 
 SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
-FLOATS = ("0", "0.5", "nan", "inf", "1e400", "x")
+FLOATS = ("0", "0.5", "nan", "inf", "1e400", "1e308", "x")
 GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0")
 LISTS = ("1,2", "0", "2,-1", "1,,2", "x")
 IN_PATHS = ("{dir}/spin.json", "{dir}/two_mode.json", "{dir}/empty.json", "{dir}/missing.json")

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import jy_extremal_states, quarter_phase_factors
+from _oracles import jy_extremal_states, quarter_evolve_with_lambda, quarter_phase_factors
 from spincat import (
     HalfInteger,
     HalfIntegerUnsupported,
-    IrrepMismatch,
-    KerrHamiltonianSpec,
+    NonFinitePhase,
     SpinState,
     ZeroSpin,
     cat_scan,
@@ -22,7 +21,7 @@ from spincat import (
     kerr_hamiltonian,
     predicted_cat,
     quarter_period_evolve,
-    rotate_x_quarter,
+    rotate,
     rotated_cat_prediction,
     verify_cat_identity,
     verify_rotated_identity,
@@ -35,30 +34,25 @@ from spincat.su2 import expm_hermitian
 
 def test_spec_validation():
     with pytest.raises(ZeroSpin):
-        KerrHamiltonianSpec(HalfInteger(0))
+        kerr_hamiltonian(HalfInteger(0))
+    with pytest.raises(ZeroSpin):
+        quarter_period_evolve(weight_state(HalfInteger(0), 0))
     with pytest.raises(ValueError):
-        KerrHamiltonianSpec(HalfInteger(2), lam=0.0)
-    with pytest.raises(ValueError):
-        KerrHamiltonianSpec(HalfInteger(2), axis="x")
-    spec = KerrHamiltonianSpec(HalfInteger(2), lam=2.0)
-    assert spec.period == pytest.approx(2 * math.pi)  # 4 pi j / lam
+        kerr_hamiltonian(HalfInteger(2), axis="x")
 
 
 def test_kerr_matrix_examples():
-    # j=1, omega=0, lam=1: quadratic term alone, m^2 / 2j
-    h = kerr_hamiltonian(KerrHamiltonianSpec(HalfInteger(2)))
+    # j=1, omega=0: quadratic term alone, m^2 / 2j
+    h = kerr_hamiltonian(HalfInteger(2))
     assert np.allclose(h.matrix, np.diag([0.5, 0.0, 0.5]), atol=1e-15)
-    # nearly-free limit: quadratic term negligible against omega
-    h = kerr_hamiltonian(KerrHamiltonianSpec(HalfInteger(2), omega=1.0, lam=1e-9))
-    assert np.allclose(np.linalg.eigvalsh(h.matrix), [-1.0, 0.0, 1.0], atol=1e-9)
 
 
 def test_axis_y_is_x_conjugate_of_axis_z():
     for tj in (2, 5, 8):
         j = HalfInteger(tj)
         rx = x_rotation(j, math.pi / 2)
-        hz = kerr_hamiltonian(KerrHamiltonianSpec(j, axis="z")).matrix
-        hy = kerr_hamiltonian(KerrHamiltonianSpec(j, axis="y")).matrix
+        hz = kerr_hamiltonian(j, axis="z").matrix
+        hy = kerr_hamiltonian(j, axis="y").matrix
         conj = rx.matrix @ hz @ rx.dagger().matrix
         assert np.linalg.norm(conj - hy) / j.dim < 1e-12
 
@@ -80,15 +74,15 @@ def test_conjugation_consistency_over_time(t):
     # omega = 0: conjugating the z evolution gives the y evolution at any t
     j = HalfInteger(6)
     rx = x_rotation(j, math.pi / 2)
-    uz = expm_hermitian(kerr_hamiltonian(KerrHamiltonianSpec(j, axis="z")), t)
-    uy = expm_hermitian(kerr_hamiltonian(KerrHamiltonianSpec(j, axis="y")), t)
+    uz = expm_hermitian(kerr_hamiltonian(j, axis="z"), t)
+    uy = expm_hermitian(kerr_hamiltonian(j, axis="y"), t)
     lhs = rx.matrix @ uz.matrix @ rx.dagger().matrix
     assert np.linalg.norm(lhs - uy.matrix) / j.dim < 1e-10
 
 
 def test_quarter_evolution_frozen_j1():
     j = HalfInteger(2)
-    out = quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, 1j))
+    out = quarter_period_evolve(coherent_expansion(j, 1j))
     assert np.allclose(out.amplitudes, [-0.5j, 1j / math.sqrt(2), 0.5j], atol=1e-12)
 
 
@@ -97,44 +91,66 @@ def test_quarter_evolution_is_phasewise_in_z_basis():
     for tj in (2, 3, 7, 12):
         j = HalfInteger(tj)
         s = coherent_expansion(j, 0.8 - 0.3j)
-        out = quarter_period_evolve(KerrHamiltonianSpec(j), s)
+        out = quarter_period_evolve(s)
         assert np.allclose(out.amplitudes, quarter_phase_factors(tj) * s.amplitudes, atol=1e-12)
 
 
 @pytest.mark.parametrize("omega", [0.0, 0.7, -2.0])
-@pytest.mark.parametrize("lam", [1.0, 1.3])
-def test_quarter_evolution_matches_dense_oracle(omega, lam):
+def test_quarter_evolution_matches_dense_oracle(omega):
     rng = np.random.default_rng(5)
     for tj in range(1, 62):
         j = HalfInteger(tj)
-        spec = KerrHamiltonianSpec(j, omega=omega, lam=lam)
         v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
         s = SpinState(j, v / np.linalg.norm(v))
-        fast = quarter_period_evolve(spec, s).amplitudes
-        dense = quarter_period_unitary(spec).apply(s).amplitudes
+        fast = quarter_period_evolve(s, omega).amplitudes
+        dense = quarter_period_unitary(j, omega).apply(s).amplitudes
         assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+def _random_states(seed):
+    rng = np.random.default_rng(seed)
+    for tj in range(1, 62):
+        v = rng.normal(size=tj + 1) + 1j * rng.normal(size=tj + 1)
+        yield SpinState(HalfInteger(tj), v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7, -2.0, 2.0 / 3.0])
+def test_quarter_evolution_is_the_lambda_one_twist_bit_for_bit(omega):
+    for s in _random_states(11):
+        want = quarter_evolve_with_lambda(s, omega, 1.0)
+        assert np.array_equal(quarter_period_evolve(s, omega).amplitudes, want)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.3, 2.0])
+@pytest.mark.parametrize("omega", [0.0, 0.7, -2.0, 2.0 / 3.0])
+def test_lambda_only_rescales_omega(omega, lam):
+    # The quarter period of omega J_z + (lam/2j) J_z^2 reaches the state
+    # the twist reaches at omega / lam.
+    for s in _random_states(12):
+        want = quarter_evolve_with_lambda(s, omega, lam)
+        assert np.max(np.abs(quarter_period_evolve(s, omega / lam).amplitudes - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("tj", [2, 7, 60])
+def test_overflowing_twist_phase_is_refused(tj):
+    s = weight_state(HalfInteger(tj), tj)
+    with pytest.raises(NonFinitePhase):
+        quarter_period_evolve(s, 1e308)
+    with pytest.raises(NonFinitePhase):
+        quarter_period_evolve(s, -1e308)
 
 
 def test_quarter_evolution_spin_half_is_global_phase():
     j = HalfInteger(1)
     s = coherent_expansion(j, 0.37 + 0.1j)
-    out = quarter_period_evolve(KerrHamiltonianSpec(j), s)
+    out = quarter_period_evolve(s)
     assert np.allclose(out.amplitudes, np.exp(-1j * math.pi / 8) * s.amplitudes, atol=1e-12)
-
-
-def test_quarter_evolution_guards():
-    j = HalfInteger(2)
-    with pytest.raises(ValueError):
-        quarter_period_evolve(KerrHamiltonianSpec(j, axis="y"), weight_state(j, 0))
-    with pytest.raises(IrrepMismatch):
-        quarter_period_evolve(KerrHamiltonianSpec(j), weight_state(HalfInteger(4), 0))
 
 
 def test_full_period_returns_identity_for_integer_j():
     for tj in (2, 6, 10):
         j = HalfInteger(tj)
-        spec = KerrHamiltonianSpec(j)
-        u = expm_hermitian(kerr_hamiltonian(spec), spec.period).matrix
+        u = expm_hermitian(kerr_hamiltonian(j), 2 * math.pi * tj).matrix  # 4 pi j
         assert np.allclose(u, np.eye(j.dim), atol=1e-11)
 
 
@@ -170,7 +186,7 @@ def test_cat_identity_gate():
 def test_cat_relative_phase():
     for jj in (1, 2, 3, 5, 9):
         j = HalfInteger(2 * jj)
-        evolved = quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, 1j))
+        evolved = quarter_period_evolve(coherent_expansion(j, 1j))
         _, c_plus, c_minus = fit_two_component(evolved, 1j)
         want = math.pi / 2 + jj * math.pi
         assert abs(math.remainder(np.angle(c_minus / c_plus) - want, 2 * math.pi)) < 1e-8
@@ -183,7 +199,7 @@ def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
     rng = np.random.default_rng(twice_j)
     noise = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
     for gamma in (1j, 0.3 + 0.8j, -1.7 + 0.2j, -0.4 - 2.5j):
-        evolved = quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, gamma))
+        evolved = quarter_period_evolve(coherent_expansion(j, gamma))
         for state in (evolved, SpinState(j, noise / np.linalg.norm(noise))):
             basis = np.column_stack(
                 [coherent_expansion(j, gamma).amplitudes, coherent_expansion(j, -gamma).amplitudes]
@@ -239,15 +255,15 @@ def test_rotate_x_quarter_maps_y_extremes_to_z_extremes():
     for tj in (1, 2, 5, 12):
         j = HalfInteger(tj)
         plus, minus = jy_extremal_states(j)
-        assert fidelity(rotate_x_quarter(plus), weight_state(j, tj)) > 1 - 1e-12
-        assert fidelity(rotate_x_quarter(minus), weight_state(j, -tj)) > 1 - 1e-12
+        assert fidelity(rotate(plus, "x", math.pi / 2), weight_state(j, tj)) > 1 - 1e-12
+        assert fidelity(rotate(minus, "x", math.pi / 2), weight_state(j, -tj)) > 1 - 1e-12
 
 
 def test_rotated_identity_frozen_j1():
     # the final state, written in ascending m: e^{+i pi/4}, 0, e^{-i pi/4}
     # over sqrt(2), up to a global phase
     j = HalfInteger(2)
-    final = quarter_period_unitary(KerrHamiltonianSpec(j, axis="y")).apply(weight_state(j, 2))
+    final = quarter_period_unitary(j, axis="y").apply(weight_state(j, 2))
     hand = np.array([np.exp(1j * math.pi / 4), 0.0, np.exp(-1j * math.pi / 4)]) / math.sqrt(2)
     assert abs(np.vdot(hand, final.amplitudes)) > 1 - 1e-12
     assert abs(np.vdot(rotated_cat_prediction(j).amplitudes, final.amplitudes)) > 1 - 1e-12
@@ -269,7 +285,7 @@ def test_quarter_twist_of_the_pole_is_its_predicted_cat():
     # At the pole both labels give |j,+j>, so the cat is a phase times it.
     for jj in range(1, 21):
         j = HalfInteger(2 * jj)
-        twisted = quarter_period_evolve(KerrHamiltonianSpec(j), weight_state(j, 2 * jj)).amplitudes
+        twisted = quarter_period_evolve(weight_state(j, 2 * jj)).amplitudes
         predicted = predicted_cat(j, math.inf).materialize().amplitudes
         assert np.max(np.abs(twisted - predicted)) <= 1e-13
 
@@ -286,7 +302,7 @@ def test_rotated_identity_relative_phase_is_j_independent():
     # lowest over highest weight amplitude = e^{i pi/2} for every integer j
     for jj in (1, 2, 3, 6):
         j = HalfInteger(2 * jj)
-        final = quarter_period_unitary(KerrHamiltonianSpec(j, axis="y")).apply(
+        final = quarter_period_unitary(j, axis="y").apply(
             weight_state(j, j.twice_value)
         )
         ratio = final.amplitudes[0] / final.amplitudes[-1]

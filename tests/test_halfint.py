@@ -14,13 +14,6 @@ def test_basic_properties():
     assert str(HalfInteger(4)) == "2"
 
 
-def test_from_value():
-    assert HalfInteger.from_value(2.5).twice_value == 5
-    assert HalfInteger.from_value(3).twice_value == 6
-    with pytest.raises(ValueError):
-        HalfInteger.from_value(0.3)
-
-
 def test_negative_rejected():
     with pytest.raises(ValueError):
         HalfInteger(-1)

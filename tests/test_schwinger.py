@@ -186,11 +186,9 @@ def test_total_photon_number_is_conserved():
 def test_pipeline_equals_spin_side_composition():
     # spin_to_fock is a relabeling: undoing it must reproduce the spin-side
     # pipeline state exactly
-    from spincat import KerrHamiltonianSpec, quarter_period_evolve, rotate_x_quarter
+    from spincat import quarter_period_evolve, rotate
 
     n = 6
     j = HalfInteger(n)
-    spin_final = rotate_x_quarter(
-        quarter_period_evolve(KerrHamiltonianSpec(j), coherent_expansion(j, 1j))
-    )
+    spin_final = rotate(quarter_period_evolve(coherent_expansion(j, 1j)), "x", math.pi / 2)
     assert np.array_equal(fock_to_spin(make_noon(n)).amplitudes, spin_final.amplitudes)
