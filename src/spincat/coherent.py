@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _generators_of, jx, jy, jz
+from .su2 import SpinOperator, SpinState, _jx_eigensystem, jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def as_label(gamma) -> SpinorLabel:
     if math.isinf(abs(g)):
         return SpinorLabel(0.0, 1.0, 0j, 1 + 0j)
     half = math.atan(abs(g))
-    return SpinorLabel(float(np.cos(half)), float(np.sin(half)), 1 + 0j, g)
+    return SpinorLabel(math.cos(half), math.sin(half), 1 + 0j, g)
 
 
 def stereographic(direction: BlochDirection) -> SpinorLabel:
@@ -105,20 +105,33 @@ def bloch_direction(label) -> BlochDirection:
     return BlochDirection(2.0 * math.atan(abs(label.gamma)), (arg_v - arg_u) % (2.0 * math.pi))
 
 
+def _along(modulus: float, direction: complex) -> complex:
+    """modulus * direction / |direction|, and 0 for a zero direction.
+
+    A direction on an axis stays exactly on it, where
+    cmath.rect(modulus, arg direction) would tip it by cos(pi/2) ~ 6e-17.
+    """
+    return modulus * (direction / abs(direction)) if direction else 0j
+
+
 def rotate_label(label, axis: str, angle: float) -> SpinorLabel:
     """Label of exp(-i angle J_axis) |j; u, v>, for axis 'x' or 'y'.
 
     With c = cos(angle/2) and s = sin(angle/2), x maps (u, v) to
     (cu - isv, -isu + cv) and y to (cu + sv, -su + cv): the spin-1/2
     rotation, which the expansion carries to every j exactly, global phase
-    included (it agrees with `su2.rotate`).
+    included (it agrees with `su2.rotate`).  At angle +-pi/2, c = |s|
+    exactly, so a rotated pole rotates back onto the pole exactly.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     label = as_label(label)
-    arg_u, arg_v = label.phases
-    u, v = cmath.rect(label.u_abs, arg_u), cmath.rect(label.v_abs, arg_v)
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    u, v = _along(label.u_abs, label.u_dir), _along(label.v_abs, label.v_dir)
+    if abs(angle) == math.pi / 2.0:  # cos(pi/4) and sin(pi/4) round an ulp apart
+        c = math.sqrt(0.5)
+        s = math.copysign(c, angle)
+    else:
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     if axis == "x":
         u, v = c * u - 1j * s * v, -1j * s * u + c * v
     else:
@@ -218,7 +231,7 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
         raise PoleLabel("rotation_operator requires a finite label")
     theta = 2.0 * math.atan(abs(label.gamma))
     arg_u, arg_v = label.phases  # as in `bloch_direction`
-    w, v = _generators_of(j).jx_eigensystem
+    w, v = _jx_eigensystem(j)
     rv = np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))[:, None] * v
     return SpinOperator(j, np.eye(j.dim) + (rv * np.expm1(1j * theta * w)) @ rv.conj().T)
 

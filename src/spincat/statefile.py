@@ -80,7 +80,10 @@ def load_state(path):
         raise StateFileError(f"bad {key}: {size!r}")
     amps = _parse_amplitudes(doc, size + 1)
     try:
-        return SpinState(HalfInteger(size), amps) if schema == SPIN_SCHEMA else TwoModeState(size, amps)
+        # An entry past ~1e154 overflows the squared norm, which refuses it;
+        # numpy's overflow warning would only add noise to that error.
+        with np.errstate(over="ignore"):
+            return SpinState(HalfInteger(size), amps) if schema == SPIN_SCHEMA else TwoModeState(size, amps)
     except ValueError as exc:
         raise StateFileError(f"invalid state: {exc}") from exc
 

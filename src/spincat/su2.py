@@ -8,9 +8,12 @@ generator densely; it serves `quarter_period_unitary`, `x_rotation` and
 verify's conjugation route, and is the reference the fast paths are tested
 against.
 
-For the last two values of 2j up to 400, each generator matrix and Jx's
-eigensystem is built on first use and then shared (`_generators`); every
-cached array is read-only.  Past 2j = 400 they are built afresh per call.
+`_jx_eigensystem` is the one source of Jx's eigensystem.  It keeps the
+result for every 2j up to 64 (65 entries, ~0.77 MB), since verify sweeps
+those 2j once per section; past 64 it is built afresh per call.  For the
+last two values of 2j up to 400 each generator matrix is built on first use
+and then shared (`_generators`); past 2j = 400 it is built afresh per call.
+Every kept array is read-only.
 
 Conventions used everywhere in this package:
 
@@ -25,6 +28,7 @@ here is pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +46,16 @@ _NORM_SNAP = 1e-13
 _NORM_GATE = 1e-9
 
 
-def _frozen_complex_array(values, shape) -> np.ndarray:
+def _complex_copy(values, shape) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True, order="C")
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    return arr
+
+
+def _frozen_complex_array(values, shape) -> np.ndarray:
+    arr = _complex_copy(values, shape)
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite entries")
     arr.setflags(write=False)
     return arr
@@ -56,15 +65,20 @@ def _unit_vector(values, dim: int) -> np.ndarray:
     """Frozen copy of a length-`dim` unit vector; the one state validator.
 
     Raises ValueError on a wrong length, non-finite entries, or a norm
-    further than _NORM_GATE from 1.
+    further than _NORM_GATE from 1.  The norm is `np.linalg.norm`'s own
+    arithmetic for a complex vector, and the entries are scanned for NaN
+    and inf only when it is not finite, so a valid state takes one pass.
     """
-    arr = _frozen_complex_array(values, (dim,))
-    nrm = float(np.linalg.norm(arr))
+    arr = _complex_copy(values, (dim,))
+    re, im = arr.real, arr.imag
+    nrm = math.sqrt(re.dot(re) + im.dot(im))
+    if not math.isfinite(nrm) and not np.isfinite(arr).all():
+        raise ValueError("non-finite entries")
     if abs(nrm - 1.0) > _NORM_GATE:
         raise ValueError(f"state norm {nrm} is not 1 within {_NORM_GATE}")
     if abs(nrm - 1.0) > _NORM_SNAP:
         arr = arr / nrm
-        arr.setflags(write=False)
+    arr.setflags(write=False)
     return arr
 
 
@@ -133,14 +147,33 @@ def _ladder(j: HalfInteger) -> np.ndarray:
     return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
 
 
+# 2j -> Jx's read-only (w, V), for every 2j up to _JX_KEPT_MAX_TWICE_J.
+_JX_KEPT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_JX_KEPT_MAX_TWICE_J = 64
+
+
 def _jx_eigensystem(j: HalfInteger) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx."""
+    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx, read-only.
+
+    Kept for every 2j up to 64; past it built afresh, so a run of distinct
+    large 2j holds nothing after its caller is done.
+    """
+    tj = j.twice_value
+    kept = _JX_KEPT.get(tj)
+    if kept is not None:
+        return kept
     off = _ladder(j) / 2.0
-    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    w, v = np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    w.setflags(write=False)
+    v.setflags(write=False)
+    if tj > _JX_KEPT_MAX_TWICE_J:
+        return w, v
+    # Threads racing on one 2j all return the first result stored.
+    return _JX_KEPT.setdefault(tj, (w, v))
 
 
 class _Generators:
-    """The generators of one irrep and Jx's eigensystem, each built on first use."""
+    """The generators of one irrep, each built on first use."""
 
     def __init__(self, j: HalfInteger):
         self.j = j
@@ -164,13 +197,6 @@ class _Generators:
     @functools.cached_property
     def z(self) -> SpinOperator:
         return SpinOperator(self.j, np.diag(m_values(self.j)).astype(np.complex128))
-
-    @functools.cached_property
-    def jx_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        w, v = _jx_eigensystem(self.j)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        return w, v
 
 
 # Callers loop over j in order, so two entries give every repeat a hit.
@@ -248,7 +274,6 @@ def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     j = state.j
-    # Not from the cache: a run of distinct large N would only fill it.
     w, v = _jx_eigensystem(j)
     psi = state.amplitudes
     if axis == "y":

@@ -94,8 +94,9 @@ def _coherent_section(rng, max_twice_j: int):
     worst_norm = 0.0
     for tj in range(0, limit + 1):
         j = HalfInteger(tj)
+        lowest = weight_state(j, -tj)
         for g in _random_gammas(rng, 20):
-            built = rotation_operator(j, g).apply(weight_state(j, -tj))
+            built = rotation_operator(j, g).apply(lowest)
             expanded = coherent_expansion(j, g)
             worst_fid = min(worst_fid, fidelity(built, expanded))
             worst_norm = max(worst_norm, abs(expanded.norm() - 1.0))

@@ -172,6 +172,16 @@ def test_husimi_input_errors(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e200"])
+def test_husimi_refuses_bad_amplitudes_in_state_file(tmp_path, capsys, bad):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"schema_version": "spin-state/1", "twice_j": 1, "amplitudes": [[1.0, 0.0], [0.0, {bad}]]}}')
+    rc, out, err = run(capsys, "husimi", "--in", str(path), "--out", str(tmp_path / "h.csv"))
+    assert rc == 3
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert ("state norm inf" if bad == "1e200" else "non-finite entries") in err
+
+
 def test_scan_csv(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "1,2,3,4", "--omega", "0")
     assert rc == 0

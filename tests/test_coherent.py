@@ -131,6 +131,17 @@ def test_rotate_label_matches_state_rotation(axis, tj):
             assert np.max(np.abs(coherent_expansion(j, rotate_label(label, axis, angle)).amplitudes - again)) <= 1e-13
 
 
+def test_label_moduli_bit_identical_to_numpy_trig():
+    # as_label takes cos and sin of atan|gamma| from math; they must be the
+    # bits np.cos and np.sin give, which every expansion was built from.
+    rng = np.random.default_rng(5)
+    mags = np.concatenate([rng.uniform(0.0, 3.0, 20000), 10.0 ** rng.uniform(-8, 8, 20000)])
+    for g in (mags * np.exp(1j * rng.uniform(-math.pi, math.pi, mags.size))).tolist():
+        label = as_label(g)
+        half = math.atan(abs(g))
+        assert (label.u_abs, label.v_abs) == (float(np.cos(half)), float(np.sin(half)))
+
+
 def test_spinor_label_gamma_and_negation():
     for g in (0.0, 1j, -1.7 + 0.2j, 3e5 - 2j):
         label = as_label(g)

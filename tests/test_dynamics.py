@@ -22,6 +22,7 @@ from spincat import (
     predicted_cat,
     quarter_period_evolve,
     rotate,
+    rotate_label,
     rotated_cat_prediction,
     verify_cat_identity,
     verify_rotated_identity,
@@ -279,6 +280,17 @@ def test_rotated_cat_prediction_matches_hand_set_amplitudes():
         assert np.max(np.abs(rotated_cat_prediction(j).amplitudes - hand)) <= 1e-13
     with pytest.raises(HalfIntegerUnsupported):
         rotated_cat_prediction(HalfInteger(3))
+
+
+def test_rotated_cat_labels_land_on_the_poles_exactly():
+    # Rotated by -pi/2, twisted, and rotated back by pi/2, the labels are
+    # the poles themselves, not labels ~1e-16 off them.
+    for jj in (1, 2, 20, 31):
+        j = HalfInteger(2 * jj)
+        cat = predicted_cat(j, rotate_label(math.inf, "x", -math.pi / 2.0))
+        back = [rotate_label(label, "x", math.pi / 2.0) for label, _ in cat.components]
+        assert [(lab.u_abs, lab.v_abs) for lab in back] == [(0.0, 1.0), (1.0, 0.0)]
+        assert np.flatnonzero(rotated_cat_prediction(j).amplitudes).tolist() == [0, j.dim - 1]
 
 
 def test_quarter_twist_of_the_pole_is_its_predicted_cat():

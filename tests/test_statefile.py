@@ -106,6 +106,31 @@ def test_norm_gate_on_load(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("schema", [SPIN_SCHEMA, TWO_MODE_SCHEMA])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", [0, 1])
+def test_non_finite_amplitude_on_load(tmp_path, schema, bad, part):
+    # json writes these as NaN / Infinity / -Infinity and reads them back.
+    path = tmp_path / "s.json"
+    amps = [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]
+    amps[2][part] = bad
+    key = "twice_j" if schema == SPIN_SCHEMA else "n_total"
+    path.write_text(json.dumps({"schema_version": schema, key: 2, "amplitudes": amps, "metadata": {}}))
+    with pytest.raises(StateFileError, match="non-finite entries"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("schema", [SPIN_SCHEMA, TWO_MODE_SCHEMA])
+def test_huge_amplitude_on_load_fails_the_norm_gate(tmp_path, schema):
+    # 1e200 is finite; its square is not.  No overflow warning escapes (the
+    # suite turns warnings into errors).
+    path = tmp_path / "s.json"
+    key = "twice_j" if schema == SPIN_SCHEMA else "n_total"
+    path.write_text(json.dumps({"schema_version": schema, key: 1, "amplitudes": [[0.0, 1e200], [0.0, 0.0]]}))
+    with pytest.raises(StateFileError, match="state norm inf is not 1"):
+        load_state(path)
+
+
 def test_save_rejects_unknown_types(tmp_path):
     with pytest.raises(TypeError):
         save_state(np.zeros(3), tmp_path / "x.json")

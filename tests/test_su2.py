@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from spincat import (
     NonHermitianInput,
     SpinOperator,
     SpinState,
+    TwoModeState,
     casimir,
     expm_hermitian,
     jminus,
@@ -24,10 +26,13 @@ from spincat import (
     jx,
     jy,
     jz,
+    make_noon,
     rotate,
+    rotation_operator,
     weight_state,
 )
-from spincat.su2 import _generators
+from spincat import su2
+from spincat.su2 import _generators, _jx_eigensystem
 
 small_twice_j = st.integers(min_value=0, max_value=24)
 
@@ -122,7 +127,7 @@ def test_cached_generators_are_read_only():
         with pytest.raises(ValueError):
             op(j).matrix[0, 0] = 1.0
     gens = _generators(6)
-    for arr in gens.jx_eigensystem:
+    for arr in _jx_eigensystem(j):
         with pytest.raises(ValueError):
             arr[0] = 1.0
     # The cache hands out the same objects, unchanged by the attempts above.
@@ -153,7 +158,7 @@ def test_generator_cache_under_threads():
                 got = builders[name](HalfInteger(tj)).matrix
                 if got.flags.writeable or got.tobytes() != want[tj][name].matrix.tobytes():
                     errors.append((name, tj))
-                if _generators(tj).jx_eigensystem[1].flags.writeable:
+                if _jx_eigensystem(HalfInteger(tj))[1].flags.writeable:
                     errors.append(("jx_eigensystem", tj))
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
             errors.append(exc)
@@ -170,6 +175,69 @@ def test_generator_cache_under_threads():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def _fresh_jx_eigensystem(j):
+    off = su2._ladder(j) / 2.0
+    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+
+
+def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
+    # 0..70 straddles the last kept 2j, 64.  With the memo emptied, the
+    # first call builds afresh and the second reads what the first kept.
+    monkeypatch.setattr(su2, "_JX_KEPT", {})
+    rng = np.random.default_rng(70)
+    for tj in range(71):
+        j = HalfInteger(tj)
+        for got, want in zip(_jx_eigensystem(j), _fresh_jx_eigensystem(j)):
+            assert got.tobytes() == want.tobytes(), tj
+        psi = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+        state = SpinState(j, psi / np.linalg.norm(psi))
+        gamma = complex(rng.normal(), rng.normal())
+        calls = [
+            lambda: rotate(state, "x", 0.83).amplitudes,
+            lambda: rotate(state, "y", 0.83).amplitudes,
+            lambda: rotation_operator(j, gamma).matrix,
+        ]
+        cold = []
+        for call in calls:
+            su2._JX_KEPT.pop(tj, None)
+            cold.append(call().tobytes())
+        assert [call().tobytes() for call in calls] == cold, tj
+    assert sorted(su2._JX_KEPT) == list(range(65))
+
+
+def test_jx_memo_is_read_only():
+    for tj in (0, 6, 64, 65, 200):
+        w, v = _jx_eigensystem(HalfInteger(tj))
+        for arr in (w, v):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    # What was kept is unchanged by the attempts above.
+    j = HalfInteger(6)
+    for got, want in zip(_jx_eigensystem(j), _fresh_jx_eigensystem(j)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_large_noon_runs_keep_no_jx_eigensystem():
+    # noon-large's distinct N must not pin an O(d^2) eigenvector matrix each.
+    for n in range(200, 1001, 37):
+        make_noon(n)
+    assert all(tj <= 64 for tj in su2._JX_KEPT)
+
+
+def test_verify_suite_same_cold_and_warm():
+    # A fresh process starts with an empty memo; this one has run the suite
+    # before, so every kept 2j is a hit.
+    import spincat
+    from spincat.verify import run_suite
+
+    src = str(Path(spincat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, pickle; from spincat.verify import run_suite; sys.stdout.buffer.write(pickle.dumps(run_suite(60, 7)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120, check=True)
+    run_suite(60, 8)
+    assert pickle.loads(done.stdout) == run_suite(60, 7)
 
 
 def test_expm_jz_full_turn():
@@ -223,6 +291,56 @@ def test_state_norm_gate_and_snap():
     assert s.norm() == pytest.approx(1.0, abs=1e-15)
     exact = np.array([1.0, 0.0], dtype=complex)
     assert SpinState(j, exact).amplitudes.tobytes() == exact.tobytes()
+
+
+STATE_BUILDERS = [
+    pytest.param(lambda amps: SpinState(HalfInteger(len(amps) - 1), amps), id="spin"),
+    pytest.param(lambda amps: TwoModeState(len(amps) - 1, amps), id="two-mode"),
+]
+
+
+@pytest.mark.parametrize("build", STATE_BUILDERS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_state_rejects_non_finite_entries(build, bad, part):
+    amps = np.array([0.6, 0.8, 0.0], dtype=complex)
+    amps[2] = complex(bad, 0.0) if part == "re" else complex(0.0, bad)
+    with pytest.raises(ValueError, match="non-finite entries"):
+        build(amps)
+
+
+@pytest.mark.parametrize("build", STATE_BUILDERS)
+def test_state_rejects_huge_finite_entry_by_its_norm(build):
+    # The squared norm overflows to inf; numpy's warning about that is not
+    # what is tested here.
+    with np.errstate(over="ignore"):
+        for amps in ([1e200, 0.0, 0.0], [0.0, 1e200j, 0.0]):
+            with pytest.raises(ValueError, match="state norm inf is not 1"):
+                build(np.array(amps, dtype=complex))
+
+
+def test_state_rejects_wrong_length():
+    with pytest.raises(ValueError, match="expected shape"):
+        SpinState(HalfInteger(2), [1.0, 0.0])
+    with pytest.raises(ValueError, match="expected shape"):
+        TwoModeState(2, [1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 61, 401, 1001])
+def test_state_norm_is_numpy_norm(d):
+    # The validator's norm is `==` to np.linalg.norm: it appears in the gate's
+    # message, and a drifted vector is divided by it.
+    rng = np.random.default_rng(d)
+    j = HalfInteger(d - 1)
+    for _ in range(40):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        far = psi * rng.uniform(2.0, 50.0) / np.linalg.norm(psi)
+        with pytest.raises(ValueError) as err:
+            SpinState(j, far)
+        assert str(err.value) == f"state norm {float(np.linalg.norm(far))} is not 1 within 1e-09"
+        drifted = psi * (1.0 + 1e-11) / np.linalg.norm(psi)
+        want = drifted / float(np.linalg.norm(drifted))
+        assert SpinState(j, drifted).amplitudes.tobytes() == want.tobytes()
 
 
 def test_state_is_immutable():
