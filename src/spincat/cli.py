@@ -364,6 +364,11 @@ def main(argv=None) -> int:
     except SpinCatError as exc:
         _eprint(f"error: {exc}")
         return EXIT_USAGE
+    except MemoryError:
+        # A size whose dense arrays cannot be allocated is a usage error,
+        # not a failed contract.
+        _eprint("error: out of memory for this size")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

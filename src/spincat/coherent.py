@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _jx_eigensystem, jx, jy, jz
+from .su2 import SpinOperator, SpinState, _jx_function, jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -216,10 +216,10 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
     `coherent_expansion` component by component, not just up to phase.
 
     The generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with the
-    diagonal R = exp(-i (pi/2 - phi) Jz), so with (w, V) the real
-    eigensystem of Jx and W = R V the unitary is
-    I + W (e^{i theta w} - 1) W^dag.  No complex matrix is diagonalized, and
-    theta = 0 gives I exactly.
+    diagonal R = exp(-i (pi/2 - phi) Jz) = diag(r), so with (w, V) the real
+    eigensystem of Jx the unitary is I + R V (e^{i theta w} - 1) V^T R^dag:
+    the function of Jx, its rows scaled by r and its columns by conj(r).
+    No complex matrix is diagonalized, and theta = 0 gives I exactly.
 
     A label whose u carries a phase gets the unitary of its gamma, which
     reaches that label's state up to a global phase.  Raises PoleLabel at
@@ -231,9 +231,12 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
         raise PoleLabel("rotation_operator requires a finite label")
     theta = 2.0 * math.atan(abs(label.gamma))
     arg_u, arg_v = label.phases  # as in `bloch_direction`
-    w, v = _jx_eigensystem(j)
-    rv = np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))[:, None] * v
-    return SpinOperator(j, np.eye(j.dim) + (rv * np.expm1(1j * theta * w)) @ rv.conj().T)
+    r = np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))
+    unitary = _jx_function(j, lambda w: np.expm1(1j * theta * w))
+    unitary *= r[:, None]
+    unitary *= r.conj()
+    unitary.flat[:: j.dim + 1] += 1.0
+    return SpinOperator(j, unitary)
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

@@ -17,10 +17,12 @@ this two-label form (the components come out rotated by pi/2 in phi
 instead); `cat_scan` measures that case rather than asserting it.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
-multiplies amplitudes by phases and builds no d x d complex unitary.
-`quarter_period_unitary`, `x_rotation` and the conjugation route of
-`verify_rotated_identity` return or compose dense operators from
-`expm_hermitian`, the reference the state kernels are tested against.
+multiplies amplitudes by phases and builds no d x d complex unitary, and
+`quarter_period_unitary` on axis z is the diagonal of those same phases.
+`x_rotation` is V e^{-i angle w} V^T from Jx's real eigensystem (w, V).
+Only the axis-y `quarter_period_unitary` exponentiates a dense Hamiltonian
+with `expm_hermitian`, so `verify_rotated_identity` compares that route
+against the conjugation of the diagonal twist by `x_rotation`.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, expm_hermitian, jx, jy, jz, weight_state
+from .su2 import SpinOperator, SpinState, _jx_function, expm_hermitian, jy, jz, weight_state
 
 _OMEGA_GATE_TOL = 1e-9
 
@@ -53,18 +55,12 @@ def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> Spi
     return SpinOperator(j, omega * gen + (1.0 / j.twice_value) * gen @ gen)
 
 
-def quarter_period_unitary(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
-    return expm_hermitian(kerr_hamiltonian(j, omega, axis), _quarter_period(j))
+def _quarter_phases(j: HalfInteger, omega: float) -> np.ndarray:
+    """exp(-i h tau/4) over m = -j..j, the axis-z quarter twist's diagonal.
 
-
-def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
-    """Evolve `state` for one quarter period of the axis-z twist.
-
-    H is diagonal, h_m = omega m + m^2 / 2j, so the evolution is
-    exp(-i h tau/4) applied elementwise.  An omega so large that this
+    H is diagonal, h_m = omega m + m^2 / 2j.  An omega so large that this
     phase overflows raises `NonFinitePhase`.
     """
-    j = state.j
     quarter = _quarter_period(j)
     m = m_values(j)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -72,7 +68,27 @@ def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
         phase = -1j * h * quarter
     if not np.isfinite(phase).all():
         raise NonFinitePhase(f"omega={omega} makes the quarter-period phase overflow at j={j}")
-    return SpinState(j, np.exp(phase) * state.amplitudes)
+    return np.exp(phase)
+
+
+def quarter_period_unitary(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
+    """exp(-i H tau/4) as an operator.
+
+    Axis z is the diagonal of `_quarter_phases`; axis y exponentiates the
+    dense `kerr_hamiltonian` with `expm_hermitian`.
+    """
+    if axis == "z":
+        return SpinOperator(j, np.diag(_quarter_phases(j, omega)))
+    return expm_hermitian(kerr_hamiltonian(j, omega, axis), _quarter_period(j))
+
+
+def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
+    """Evolve `state` for one quarter period of the axis-z twist.
+
+    The evolution is diagonal, so its phases multiply the amplitudes
+    elementwise; an overflowing phase raises `NonFinitePhase`.
+    """
+    return SpinState(state.j, _quarter_phases(state.j, omega) * state.amplitudes)
 
 
 def _require_cleared_linear_phase(j: HalfInteger, omega: float):
@@ -114,8 +130,12 @@ def verify_cat_identity(j: HalfInteger, gamma, omega: float = 0.0) -> float:
     """
     _require_integer(j)
     _require_cleared_linear_phase(j, omega)
-    evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
-    return abs(overlap(evolved, predicted_cat(j, gamma).materialize()))
+    return _cat_fidelity(quarter_period_evolve(coherent_expansion(j, gamma), omega), gamma)
+
+
+def _cat_fidelity(evolved: SpinState, gamma) -> float:
+    """|<evolved | predicted_cat(j, gamma)>| for a quarter-period state."""
+    return abs(overlap(evolved, predicted_cat(evolved.j, gamma).materialize()))
 
 
 def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]:
@@ -163,8 +183,8 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
 
 
 def x_rotation(j: HalfInteger, angle: float) -> SpinOperator:
-    """exp(-i * angle * Jx)."""
-    return expm_hermitian(jx(j), angle)
+    """exp(-i * angle * Jx) = V e^{-i angle w} V^T, from Jx's real eigensystem."""
+    return SpinOperator(j, _jx_function(j, lambda w: np.exp(-1j * angle * w)))
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:
@@ -193,7 +213,8 @@ def verify_rotated_identity(j: HalfInteger, omega: float = 0.0) -> RotatedIdenti
     """Drive |j,j>_z with the y-axis twist, both directly and by conjugation.
 
     Route one exponentiates omega * Jy + Jy^2 / 2j directly; route
-    two conjugates the z-axis evolution with the pi/2 x rotation.  Both are
+    two conjugates the diagonal z-axis evolution with the pi/2 x rotation,
+    scaling the rotation's columns by the twist's phases.  Both are
     compared to `rotated_cat_prediction`; contract: all three fidelities
     >= 1 - 1e-10 for integer j when the omega gate passes.
     """
@@ -203,8 +224,8 @@ def verify_rotated_identity(j: HalfInteger, omega: float = 0.0) -> RotatedIdenti
     start = weight_state(j, j.twice_value)
     direct = quarter_period_unitary(j, omega, "y").apply(start)
 
-    rx = x_rotation(j, math.pi / 2.0)
-    conjugated = (rx @ quarter_period_unitary(j, omega) @ rx.dagger()).apply(start)
+    rx = x_rotation(j, math.pi / 2.0).matrix
+    conjugated = SpinOperator(j, (rx * _quarter_phases(j, omega)) @ rx.conj().T).apply(start)
 
     target = rotated_cat_prediction(j)
     return RotatedIdentityResult(

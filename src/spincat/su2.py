@@ -2,11 +2,12 @@
 
 `rotate` turns a state about the x or y axis without building a d x d
 complex unitary: it diagonalizes the real tridiagonal Jx and applies phases in
-that eigenbasis.  `coherent.rotation_operator` builds its unitary from the
-same real eigensystem.  `expm_hermitian` exponentiates any Hermitian
-generator densely; it serves `quarter_period_unitary`, `x_rotation` and
-verify's conjugation route, and is the reference the fast paths are tested
-against.
+that eigenbasis.  `_jx_function` builds a function of Jx, V diag(f(w)) V^T,
+from the same real eigensystem; `dynamics.x_rotation` and
+`coherent.rotation_operator` take their unitaries from it.  `expm_hermitian`
+exponentiates any Hermitian generator by dense eigendecomposition; it
+serves only the axis-y `quarter_period_unitary`, and is the reference the
+structured routes are tested against.
 
 `_jx_eigensystem` is the one source of Jx's eigensystem.  It keeps the
 result for every 2j up to 64 (65 entries, ~0.77 MB), since verify sweeps
@@ -116,11 +117,6 @@ class SpinOperator:
     def dagger(self) -> "SpinOperator":
         return SpinOperator(self.j, self.matrix.conj().T)
 
-    def __matmul__(self, other: "SpinOperator") -> "SpinOperator":
-        if other.j != self.j:
-            raise IrrepMismatch("cannot compose operators from different irreps")
-        return SpinOperator(self.j, self.matrix @ other.matrix)
-
     def hermiticity_residual(self) -> float:
         """||M - M^dag||_F / dim."""
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / self.j.dim)
@@ -170,6 +166,19 @@ def _jx_eigensystem(j: HalfInteger) -> tuple[np.ndarray, np.ndarray]:
         return w, v
     # Threads racing on one 2j all return the first result stored.
     return _JX_KEPT.setdefault(tj, (w, v))
+
+
+def _jx_function(j: HalfInteger, f) -> np.ndarray:
+    """V diag(f(w)) V^T, the function f of Jx, as a new complex d x d array.
+
+    f maps Jx's eigenvalues w to complex values.  diag(f(w)) V^T is held in
+    C order, so its float view is a real d x 2d matrix and V times it is
+    the complex product in one real matmul: no complex copy of V is formed
+    and no complex matrix is diagonalized.
+    """
+    w, v = _jx_eigensystem(j)
+    fvt = np.multiply(f(w)[:, None], v.T, order="C")
+    return (v @ fvt.view(np.float64)).view(np.complex128)
 
 
 class _Generators:
@@ -246,7 +255,7 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     """The unitary exp(-i H t) for a Hermitian generator H.
 
     Computed by dense eigendecomposition, which keeps the result unitary
-    to rounding.  This is the reference route: `rotate`,
+    to rounding.  This is the reference route: `rotate`, `x_rotation`,
     `coherent.rotation_operator` and the diagonal twist in `dynamics` are
     tested against it.
 

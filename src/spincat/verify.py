@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import (
+    as_label,
     bloch_direction,
     coherent_expansion,
     fidelity,
@@ -20,12 +21,7 @@ from .coherent import (
     stereographic,
     BlochDirection,
 )
-from .dynamics import (
-    fit_two_component,
-    quarter_period_evolve,
-    verify_cat_identity,
-    verify_rotated_identity,
-)
+from .dynamics import _cat_fidelity, fit_two_component, quarter_period_evolve, verify_rotated_identity
 from .halfint import HalfInteger
 from .metrology import noon_signal, phase_uncertainty, quantum_fisher_information
 from .schwinger import (
@@ -96,8 +92,9 @@ def _coherent_section(rng, max_twice_j: int):
         j = HalfInteger(tj)
         lowest = weight_state(j, -tj)
         for g in _random_gammas(rng, 20):
-            built = rotation_operator(j, g).apply(lowest)
-            expanded = coherent_expansion(j, g)
+            label = as_label(g)
+            built = rotation_operator(j, label).apply(lowest)
+            expanded = coherent_expansion(j, label)
             worst_fid = min(worst_fid, fidelity(built, expanded))
             worst_norm = max(worst_norm, abs(expanded.norm() - 1.0))
     yield _bound(
@@ -105,13 +102,11 @@ def _coherent_section(rng, max_twice_j: int):
     )
     yield _bound("coherent", "constructed norms", worst_norm, 1e-12)
 
-    def sphere_point(d: BlochDirection) -> np.ndarray:
-        return np.array(
-            [
-                math.sin(d.theta) * math.cos(d.phi),
-                math.sin(d.theta) * math.sin(d.phi),
-                math.cos(d.theta),
-            ]
+    def sphere_point(d: BlochDirection) -> tuple[float, float, float]:
+        return (
+            math.sin(d.theta) * math.cos(d.phi),
+            math.sin(d.theta) * math.sin(d.phi),
+            math.cos(d.theta),
         )
 
     worst_round = 0.0
@@ -121,7 +116,7 @@ def _coherent_section(rng, max_twice_j: int):
             label = stereographic(direction)
             back = bloch_direction(label)
             worst_round = max(
-                worst_round, float(np.max(np.abs(sphere_point(back) - sphere_point(direction))))
+                worst_round, *(abs(a - b) for a, b in zip(sphere_point(back), sphere_point(direction)))
             )
             # label-level round trip, relative so huge labels near the pole
             # are judged at their own scale
@@ -155,8 +150,9 @@ def _cat_section(rng, max_twice_j: int):
         j = HalfInteger(2 * jj)
         gammas = [1j, 1.0, complex(_random_gammas(rng, 1)[0])]
         for g in gammas:
-            worst_fid = min(worst_fid, verify_cat_identity(j, g, omega=0.0))
+            # One evolution per (j, gamma) serves both the identity and the fit.
             evolved = quarter_period_evolve(coherent_expansion(j, g))
+            worst_fid = min(worst_fid, _cat_fidelity(evolved, g))
             _, c_plus, c_minus = fit_two_component(evolved, g)
             want = math.pi / 2.0 + jj * math.pi
             err = abs(math.remainder(float(np.angle(c_minus / c_plus)) - want, 2 * math.pi))

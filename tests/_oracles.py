@@ -22,6 +22,7 @@ from spincat import (
     expm_hermitian,
     jx,
     jy,
+    kerr_hamiltonian,
     m_values,
 )
 
@@ -167,3 +168,13 @@ def rotation_operator_dense(j: HalfInteger, gamma) -> SpinOperator:
     theta, phi = 2.0 * math.atan(abs(g)), float(np.angle(g))
     gen = -theta * (math.sin(phi) * jx(j).matrix + math.cos(phi) * jy(j).matrix)
     return expm_hermitian(SpinOperator(j, gen), 1.0)
+
+
+def x_rotation_dense(j: HalfInteger, angle: float) -> SpinOperator:
+    """exp(-i angle Jx) by dense eigh of the complex Jx."""
+    return expm_hermitian(jx(j), angle)
+
+
+def quarter_period_unitary_dense(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
+    """exp(-i H tau/4), tau/4 = pi j, by dense eigh of the twist Hamiltonian."""
+    return expm_hermitian(kerr_hamiltonian(j, omega, axis), math.pi * j.twice_value / 2.0)

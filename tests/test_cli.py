@@ -376,6 +376,19 @@ def test_usage_error_on_unknown_command(capsys):
     assert rc == 2
 
 
+def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # A size whose arrays cannot be allocated exits 2 with one error line;
+    # the handler raises instead of allocating.
+    def exhausted(parser, args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_noon", exhausted)
+    rc, out, err = run(capsys, "noon", "--n", "100000", "--out", str(tmp_path / "n.json"))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
 FLOATS = ("0", "0.5", "nan", "inf", "1e400", "1e308", "x")
 GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0")

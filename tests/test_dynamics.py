@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import jy_extremal_states, quarter_evolve_with_lambda, quarter_phase_factors
+from _oracles import (
+    jy_extremal_states,
+    quarter_evolve_with_lambda,
+    quarter_period_unitary_dense,
+    quarter_phase_factors,
+    x_rotation_dense,
+)
 from spincat import (
     HalfInteger,
     HalfIntegerUnsupported,
@@ -29,8 +35,10 @@ from spincat import (
     weight_state,
     x_rotation,
 )
+from spincat import dynamics, su2
 from spincat.dynamics import quarter_period_unitary
 from spincat.su2 import expm_hermitian
+from spincat.verify import run_suite
 
 
 def test_spec_validation():
@@ -104,8 +112,40 @@ def test_quarter_evolution_matches_dense_oracle(omega):
         v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
         s = SpinState(j, v / np.linalg.norm(v))
         fast = quarter_period_evolve(s, omega).amplitudes
-        dense = quarter_period_unitary(j, omega).apply(s).amplitudes
+        dense = quarter_period_unitary_dense(j, omega).apply(s).amplitudes
         assert np.max(np.abs(fast - dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.7, -2.0, 2.0 / 3.0])
+def test_quarter_unitary_z_is_the_twist_phases(omega):
+    # The axis-z unitary is diagonal, its diagonal the phases the twist
+    # applies, and it agrees with the dense exponential of the Hamiltonian.
+    for s in _random_states(13):
+        u = quarter_period_unitary(s.j, omega).matrix
+        assert not np.any(u - np.diag(np.diag(u)))
+        assert np.array_equal(np.diag(u) * s.amplitudes, quarter_period_evolve(s, omega).amplitudes)
+        assert np.max(np.abs(u - quarter_period_unitary_dense(s.j, omega).matrix)) <= 1e-12
+
+
+def test_quarter_unitary_y_is_the_dense_exponential():
+    for tj in (2, 7, 30):
+        j = HalfInteger(tj)
+        got = quarter_period_unitary(j, 0.7, "y").matrix
+        assert np.array_equal(got, quarter_period_unitary_dense(j, 0.7, "y").matrix)
+    with pytest.raises(ValueError):
+        quarter_period_unitary(HalfInteger(2), axis="x")
+    with pytest.raises(ZeroSpin):
+        quarter_period_unitary(HalfInteger(0))
+
+
+@pytest.mark.parametrize("angle", [math.pi / 2, -math.pi / 2, 0.3, math.pi])
+def test_x_rotation_matches_dense_oracle(angle):
+    # Every 2j <= 120 (past the 64 kept spectra) and every 37th up to 401.
+    for tj in sorted(set(range(121)) | set(range(0, 402, 37))):
+        j = HalfInteger(tj)
+        u = x_rotation(j, angle)
+        assert np.max(np.abs(u.matrix - x_rotation_dense(j, angle).matrix)) <= 1e-12, tj
+        assert u.unitarity_residual() <= 1e-12, tj
 
 
 def _random_states(seed):
@@ -139,6 +179,8 @@ def test_overflowing_twist_phase_is_refused(tj):
         quarter_period_evolve(s, 1e308)
     with pytest.raises(NonFinitePhase):
         quarter_period_evolve(s, -1e308)
+    with pytest.raises(NonFinitePhase):
+        quarter_period_unitary(s.j, 1e308)
 
 
 def test_quarter_evolution_spin_half_is_global_phase():
@@ -172,6 +214,15 @@ def test_predicted_cat_coefficients():
 )
 def test_cat_identity_fidelity(tj, g, tol):
     assert verify_cat_identity(HalfInteger(tj), g, omega=0.0) >= 1 - tol
+
+
+def test_cat_fidelity_of_an_evolved_state_is_the_identity_check():
+    # verify evolves each (j, gamma) once and reads this fidelity from it.
+    for jj in (1, 4, 15, 30):
+        j = HalfInteger(2 * jj)
+        for g in (1j, 1.0, 0.3 - 1.7j):
+            evolved = quarter_period_evolve(coherent_expansion(j, g))
+            assert dynamics._cat_fidelity(evolved, g) == verify_cat_identity(j, g)
 
 
 def test_cat_identity_gate():
@@ -319,6 +370,22 @@ def test_rotated_identity_relative_phase_is_j_independent():
         )
         ratio = final.amplitudes[0] / final.amplitudes[-1]
         assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-10)
+
+
+def test_verify_suite_makes_one_dense_exponential_per_j(monkeypatch):
+    # Only the axis-y twist of the rotated-identity section, one per integer
+    # j <= 30, exponentiates densely; the other operators come from structure.
+    calls = []
+    dense = su2.expm_hermitian
+
+    def counted(h, t):
+        calls.append(h.j.twice_value)
+        return dense(h, t)
+
+    for module in (su2, dynamics):
+        monkeypatch.setattr(module, "expm_hermitian", counted)
+    run_suite(60)
+    assert calls == list(range(2, 61, 2))
 
 
 def test_rotated_identity_gates():
