@@ -15,7 +15,6 @@ except where a test pins one deliberately.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _jx_function, jx, jy, jz
+from .su2 import SpinOperator, SpinState, _jx_function, _per_twice_j, jx, jy, jz
 
 
 @dataclass(frozen=True)
@@ -140,11 +139,11 @@ def rotate_label(label, axis: str, angle: float) -> SpinorLabel:
     return SpinorLabel(abs(u) / norm, abs(v) / norm, u, v)
 
 
-# cat and scan expand a state and then fit it at the same 2j; two entries
-# let each row take the integers once.
-@functools.lru_cache(maxsize=2)
+# A per-2j table under su2's one rule: kept for 2j up to 64, where verify
+# comes back to each 2j, and built afresh past it.
+@_per_twice_j
 def _sqrt_binomials(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sqrt C(2j,k) over k = 0..2j, big, log C(2j,k) / 2 over k in big), read-only.
+    """(sqrt C(2j,k) over k = 0..2j, big, log C(2j,k) / 2 over k in big).
 
     `big` holds the k whose binomial is past the float range (from 2j = 1030
     on); their entries of the first array are 0.
@@ -161,10 +160,7 @@ def _sqrt_binomials(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             big.append(i)
             log_c.append(math.log(binomial))
         binomial = binomial * (twice_j - i) // (i + 1)
-    arrays = (np.sqrt(np.array(exact, dtype=float)), np.array(big, dtype=np.intp), 0.5 * np.array(log_c))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+    return np.sqrt(np.array(exact, dtype=float)), np.array(big, dtype=np.intp), 0.5 * np.array(log_c)
 
 
 def _binomial_weights(twice_j: int, u_abs, v_abs) -> np.ndarray:

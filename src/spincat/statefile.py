@@ -44,9 +44,13 @@ def _parse_amplitudes(doc, expected_len: int) -> np.ndarray:
             f"expected {expected_len} amplitude pairs, got "
             f"{len(pairs) if isinstance(pairs, list) else type(pairs).__name__}"
         )
+    for pair in pairs:
+        # type(), not isinstance(): JSON true is a bool, and bool subclasses int.
+        if type(pair) is not list or len(pair) != 2 or not {type(pair[0]), type(pair[1])} <= {int, float}:
+            raise StateFileError(f"malformed amplitude entry {pair!r}: need [re, im], two JSON numbers")
     try:
-        return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+        return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except OverflowError as exc:  # a JSON integer past the float range
         raise StateFileError(f"malformed amplitude entry: {exc}") from exc
 
 

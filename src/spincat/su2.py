@@ -9,12 +9,12 @@ exponentiates any Hermitian generator by dense eigendecomposition; it
 serves only the axis-y `quarter_period_unitary`, and is the reference the
 structured routes are tested against.
 
-`_jx_eigensystem` is the one source of Jx's eigensystem.  It keeps the
-result for every 2j up to 64 (65 entries, ~0.77 MB), since verify sweeps
-those 2j once per section; past 64 it is built afresh per call.  For the
-last two values of 2j up to 400 each generator matrix is built on first use
-and then shared (`_generators`); past 2j = 400 it is built afresh per call.
-Every kept array is read-only.
+Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
+for every 2j up to 64, the range verify sweeps again in each section, and
+built afresh per call past 64, so a run of distinct large 2j holds nothing
+after its caller is done.  Jx's eigensystem (`_jx_eigensystem`, ~0.77 MB
+kept in all) and the exact binomials (`coherent._sqrt_binomials`) are the
+only such tables.  Generator matrices are built per call and never kept.
 
 Conventions used everywhere in this package:
 
@@ -143,29 +143,40 @@ def _ladder(j: HalfInteger) -> np.ndarray:
     return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
 
 
-# 2j -> Jx's read-only (w, V), for every 2j up to _JX_KEPT_MAX_TWICE_J.
-_JX_KEPT: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_JX_KEPT_MAX_TWICE_J = 64
+# verify sweeps every 2j up to here again in each section; past it a table
+# would pin O(d) to O(d^2) memory after its caller is done with it.
+_KEPT_MAX_TWICE_J = 64
 
 
-def _jx_eigensystem(j: HalfInteger) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx, read-only.
+def _per_twice_j(build):
+    """Wrap `build(twice_j) -> tuple of arrays` as a per-2j table.
 
-    Kept for every 2j up to 64; past it built afresh, so a run of distinct
-    large 2j holds nothing after its caller is done.
+    The arrays are made read-only.  A table is kept in the wrapper's `kept`
+    dict for every 2j up to _KEPT_MAX_TWICE_J and built afresh per call past it.
     """
-    tj = j.twice_value
-    kept = _JX_KEPT.get(tj)
-    if kept is not None:
-        return kept
-    off = _ladder(j) / 2.0
-    w, v = np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
-    w.setflags(write=False)
-    v.setflags(write=False)
-    if tj > _JX_KEPT_MAX_TWICE_J:
-        return w, v
-    # Threads racing on one 2j all return the first result stored.
-    return _JX_KEPT.setdefault(tj, (w, v))
+
+    @functools.wraps(build)
+    def table(twice_j: int):
+        arrays = table.kept.get(twice_j)
+        if arrays is not None:
+            return arrays
+        arrays = build(twice_j)
+        for arr in arrays:
+            arr.setflags(write=False)
+        if twice_j > _KEPT_MAX_TWICE_J:
+            return arrays
+        # Threads racing on one 2j all return the first result stored.
+        return table.kept.setdefault(twice_j, arrays)
+
+    table.kept = {}
+    return table
+
+
+@_per_twice_j
+def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx."""
+    off = _ladder(HalfInteger(twice_j)) / 2.0
+    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
 
 
 def _jx_function(j: HalfInteger, f) -> np.ndarray:
@@ -176,73 +187,39 @@ def _jx_function(j: HalfInteger, f) -> np.ndarray:
     the complex product in one real matmul: no complex copy of V is formed
     and no complex matrix is diagonalized.
     """
-    w, v = _jx_eigensystem(j)
+    w, v = _jx_eigensystem(j.twice_value)
     fvt = np.multiply(f(w)[:, None], v.T, order="C")
     return (v @ fvt.view(np.float64)).view(np.complex128)
 
 
-class _Generators:
-    """The generators of one irrep, each built on first use."""
-
-    def __init__(self, j: HalfInteger):
-        self.j = j
-
-    @functools.cached_property
-    def plus(self) -> SpinOperator:
-        return SpinOperator(self.j, np.diag(_ladder(self.j), k=-1).astype(np.complex128))
-
-    @functools.cached_property
-    def minus(self) -> SpinOperator:
-        return self.plus.dagger()
-
-    @functools.cached_property
-    def x(self) -> SpinOperator:
-        return SpinOperator(self.j, (self.plus.matrix + self.minus.matrix) / 2.0)
-
-    @functools.cached_property
-    def y(self) -> SpinOperator:
-        return SpinOperator(self.j, (self.plus.matrix - self.minus.matrix) / 2.0j)
-
-    @functools.cached_property
-    def z(self) -> SpinOperator:
-        return SpinOperator(self.j, np.diag(m_values(self.j)).astype(np.complex128))
-
-
-# Callers loop over j in order, so two entries give every repeat a hit.
-@functools.lru_cache(maxsize=2)
-def _generators(twice_j: int) -> _Generators:
-    """The read-only generators of one 2j, built once per 2j."""
-    return _Generators(HalfInteger(twice_j))
-
-
-# No pipeline builds a dense generator past d = 401, so a larger one is not
-# kept: it would pin O(d^2) memory after its caller is done with it.
-def _generators_of(j: HalfInteger) -> _Generators:
-    """The shared `_generators(2j)` up to 2j = 400; past it, a set nothing keeps."""
-    return _generators(j.twice_value) if j.twice_value <= 400 else _Generators(j)
+def _ladder_matrix(j: HalfInteger) -> np.ndarray:
+    """J+ as a new complex d x d array, for builders that need no validated copy."""
+    return np.diag(_ladder(j), k=-1).astype(np.complex128)
 
 
 def jz(j: HalfInteger) -> SpinOperator:
     """Diagonal weight operator, eigenvalues m = -j..+j."""
-    return _generators_of(j).z
+    return SpinOperator(j, np.diag(m_values(j)).astype(np.complex128))
 
 
 def jplus(j: HalfInteger) -> SpinOperator:
     """Raising operator; maps |j,m> to sqrt(j(j+1)-m(m+1)) |j,m+1>."""
-    return _generators_of(j).plus
+    return SpinOperator(j, _ladder_matrix(j))
 
 
 def jminus(j: HalfInteger) -> SpinOperator:
     """Lowering operator, the adjoint of jplus."""
-    return _generators_of(j).minus
+    return jplus(j).dagger()
 
 
 def jx(j: HalfInteger) -> SpinOperator:
-    return _generators_of(j).x
+    plus = _ladder_matrix(j)
+    return SpinOperator(j, (plus + plus.conj().T) / 2.0)
 
 
 def jy(j: HalfInteger) -> SpinOperator:
-    return _generators_of(j).y
+    plus = _ladder_matrix(j)
+    return SpinOperator(j, (plus - plus.conj().T) / 2.0j)
 
 
 def casimir(j: HalfInteger) -> SpinOperator:
@@ -283,7 +260,7 @@ def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     j = state.j
-    w, v = _jx_eigensystem(j)
+    w, v = _jx_eigensystem(j.twice_value)
     psi = state.amplitudes
     if axis == "y":
         d = _MINUS_I_POWERS[np.arange(j.dim) % 4]

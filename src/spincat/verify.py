@@ -197,21 +197,25 @@ def _schwinger_section(max_twice_j: int):
     yield _bound("schwinger", "extremal mapping and round trip", worst_special, 0.0)
 
 
-def _noon_section(max_twice_j: int):
+def _noon_states(max_twice_j: int) -> dict:
+    """make_noon(N, gamma_choice=c) by (N, c), for every even N <= min(60, max_twice_j) and both c."""
+    limit = min(60, max_twice_j)
+    return {(n, c): make_noon(n, gamma_choice=c) for n in range(2, limit + 1, 2) for c in ("i", "1")}
+
+
+def _noon_section(max_twice_j: int, noon_states):
     limit = min(60, max_twice_j)
     worst_fid = 1.0
     worst_off = 0.0
-    for n in range(2, limit + 1, 2):
-        for choice in ("i", "1"):
-            out = make_noon(n, gamma_choice=choice)
-            fid, _ = noon_fidelity(out)
-            worst_fid = min(worst_fid, fid)
-            worst_off = max(worst_off, off_support_mass(out))
+    for out in noon_states.values():
+        fid, _ = noon_fidelity(out)
+        worst_fid = min(worst_fid, fid)
+        worst_off = max(worst_off, off_support_mass(out))
     yield _bound("noon-pipeline", f"fidelity, even N<={limit}, both routes", worst_fid, 1.0 - 1e-10, True)
     yield _bound("noon-pipeline", "off-support mass", worst_off, 1e-20)
 
 
-def _metrology_section(max_twice_j: int):
+def _metrology_section(max_twice_j: int, noon_states):
     worst_unc = 0.0
     for n in range(1, 101):
         worst_unc = max(worst_unc, abs(phase_uncertainty(n) * n - 1.0))
@@ -220,7 +224,7 @@ def _metrology_section(max_twice_j: int):
     limit = min(60, max_twice_j)
     worst_qfi = 0.0
     for n in range(2, limit + 1, 2):
-        qfi = quantum_fisher_information(make_noon(n))
+        qfi = quantum_fisher_information(noon_states[n, "i"])
         worst_qfi = max(worst_qfi, abs(qfi - n * n) / (n * n))
     yield _bound("metrology", f"pipeline QFI = N^2, even N<={limit}", worst_qfi, 1e-8)
 
@@ -248,8 +252,10 @@ def run_suite(max_twice_j: int = 60, seed: int = 20260810) -> list[CheckResult]:
     results.extend(_cat_section(rng, max_twice_j))
     results.extend(_rotated_section(max_twice_j))
     results.extend(_schwinger_section(max_twice_j))
-    results.extend(_noon_section(max_twice_j))
-    results.extend(_metrology_section(max_twice_j))
+    # The N00N and metrology sections share one run of the pipeline per (N, choice).
+    noon_states = _noon_states(max_twice_j)
+    results.extend(_noon_section(max_twice_j, noon_states))
+    results.extend(_metrology_section(max_twice_j, noon_states))
     return results
 
 

@@ -182,6 +182,20 @@ def test_husimi_refuses_bad_amplitudes_in_state_file(tmp_path, capsys, bad):
     assert ("state norm inf" if bad == "1e200" else "non-finite entries") in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ['"10"', "[true, false]", '["1", "0"]', "[1" + "0" * 400 + ", 0]"],
+    ids=["string", "bools", "strings", "int-past-float"],
+)
+def test_husimi_refuses_amplitude_entries_that_are_not_two_numbers(tmp_path, capsys, entry):
+    path = tmp_path / "s.json"
+    path.write_text(f'{{"schema_version": "spin-state/1", "twice_j": 1, "amplitudes": [{entry}, [0.0, 0.0]]}}')
+    rc, out, err = run(capsys, "husimi", "--in", str(path), "--out", str(tmp_path / "h.csv"))
+    assert rc == 3
+    assert err.count("\n") == 1 and "malformed amplitude entry" in err
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_scan_csv(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "1,2,3,4", "--omega", "0")
     assert rc == 0

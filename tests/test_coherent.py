@@ -331,7 +331,9 @@ def test_sqrt_binomials_cache_is_read_only_and_small():
         for arr in _sqrt_binomials(tj):
             with pytest.raises(ValueError):
                 arr[...] = 0
-    assert _sqrt_binomials.cache_info().currsize <= 2
+    # Small: nothing past 2j = 64 is kept.
+    assert all(tj <= 64 for tj in _sqrt_binomials.kept)
+    assert _sqrt_binomials(1030) is not _sqrt_binomials(1030)
     # The weights handed out are fresh arrays: writing one leaves the next call unchanged.
     cos, sin = np.cos(0.4), np.sin(0.4)
     w = _binomial_weights(7, cos, sin)

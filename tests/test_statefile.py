@@ -74,6 +74,12 @@ def test_missing_file():
         lambda d: d.update(amplitudes=[[5.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
         lambda d: d.update(twice_j=True, amplitudes=[[1.0, 0.0], [0.0, 0.0]]),
         lambda d: d.update(schema_version=TWO_MODE_SCHEMA, n_total=True, amplitudes=[[1.0, 0.0], [0.0, 0.0]]),
+        # Entries that unpack into two parts float() accepts, but are not two JSON numbers.
+        lambda d: d.update(amplitudes=["10", [0.0, 0.0], [0.0, 0.0]]),
+        lambda d: d.update(amplitudes=[[True, False], [0.0, 0.0], [0.0, 0.0]]),
+        lambda d: d.update(amplitudes=[["1", "0"], [0.0, 0.0], [0.0, 0.0]]),
+        # A JSON integer past the float range.
+        lambda d: d.update(amplitudes=[[10**400, 0], [0.0, 0.0], [0.0, 0.0]]),
     ],
 )
 def test_malformed_documents(tmp_path, mutate):

@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from spincat import (
     weight_state,
 )
 from spincat import su2
-from spincat.su2 import _generators, _jx_eigensystem
+from spincat.coherent import _sqrt_binomials
+from spincat.su2 import _jx_eigensystem
 
 small_twice_j = st.integers(min_value=0, max_value=24)
 
@@ -117,8 +119,6 @@ def test_generators_bit_identical_to_chained_builds():
             assert got.j == j
             assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
             assert got.matrix.tobytes() == want.matrix.tobytes(), (name, tj)
-    # Two entries at most, whatever the sweep visited.
-    assert _generators.cache_info().currsize <= 2
 
 
 def test_cached_generators_are_read_only():
@@ -126,27 +126,45 @@ def test_cached_generators_are_read_only():
     for op in (jplus, jminus, jx, jy, jz):
         with pytest.raises(ValueError):
             op(j).matrix[0, 0] = 1.0
-    gens = _generators(6)
-    for arr in _jx_eigensystem(j):
+    for arr in _jx_eigensystem(6):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    # The cache hands out the same objects, unchanged by the attempts above.
-    assert jx(j) is gens.x
     assert jx(j).matrix.tobytes() == chained_generators(j)["jx"].matrix.tobytes()
 
 
-def test_generator_cache_keeps_nothing_past_2j_400():
-    assert jx(HalfInteger(400)) is jx(HalfInteger(400))
-    big = jx(HalfInteger(401))
-    assert big is not jx(HalfInteger(401))
-    assert big.matrix.tobytes() == chained_generators(HalfInteger(401))["jx"].matrix.tobytes()
+@pytest.mark.parametrize("tj", [6, 400])
+def test_generator_matrices_do_not_outlive_their_caller(tj):
+    # No generator is kept at any 2j: once its caller drops it, it is gone.
+    j = HalfInteger(tj)
+    for op in (jplus, jminus, jx, jy, jz):
+        matrix = weakref.ref(op(j).matrix)
+        assert matrix() is None, op.__name__
+
+
+TABLES = [_jx_eigensystem, _sqrt_binomials]
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: t.__name__)
+def test_per_twice_j_tables_keep_up_to_2j_64(table):
+    # One rule for both tables: kept up to 2j = 64, built afresh past it.
+    for tj in (0, 1, 6, 63, 64, 65, 66, 200, 1030):
+        first, again = table(tj), table(tj)
+        if tj <= 64:
+            assert again is first and table.kept[tj] is first, tj
+        else:
+            assert again is not first and tj not in table.kept, tj
+        for got, repeat, want in zip(first, again, table.__wrapped__(tj)):
+            assert not got.flags.writeable, tj
+            assert got.dtype == want.dtype and got.shape == want.shape, tj
+            assert got.tobytes() == repeat.tobytes() == want.tobytes(), tj
 
 
 def test_generator_cache_under_threads():
-    # More threads than cores, switching often, each cycling through more 2j
-    # values than the cache holds: every result must still be the exact,
-    # read-only generator of the 2j asked for.
+    # More threads than cores, switching often, each cycling through 2j
+    # values that straddle the last kept table: every result must still be
+    # the exact, read-only generator or table of the 2j asked for.
     want = {tj: chained_generators(HalfInteger(tj)) for tj in range(9)}
+    want_tables = {(table, tj): table.__wrapped__(tj) for table in TABLES for tj in range(60, 69)}
     builders = {"jplus": jplus, "jminus": jminus, "jx": jx, "jy": jy, "jz": jz}
     errors = []
 
@@ -158,8 +176,10 @@ def test_generator_cache_under_threads():
                 got = builders[name](HalfInteger(tj)).matrix
                 if got.flags.writeable or got.tobytes() != want[tj][name].matrix.tobytes():
                     errors.append((name, tj))
-                if _jx_eigensystem(HalfInteger(tj))[1].flags.writeable:
-                    errors.append(("jx_eigensystem", tj))
+                table = TABLES[k % 2]
+                for arr, ref in zip(table(60 + tj), want_tables[table, 60 + tj]):
+                    if arr.flags.writeable or arr.tobytes() != ref.tobytes():
+                        errors.append((table.__name__, 60 + tj))
         except Exception as exc:  # reported below; a thread's exception is otherwise lost
             errors.append(exc)
 
@@ -185,11 +205,11 @@ def _fresh_jx_eigensystem(j):
 def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
     # 0..70 straddles the last kept 2j, 64.  With the memo emptied, the
     # first call builds afresh and the second reads what the first kept.
-    monkeypatch.setattr(su2, "_JX_KEPT", {})
+    monkeypatch.setattr(_jx_eigensystem, "kept", {})
     rng = np.random.default_rng(70)
     for tj in range(71):
         j = HalfInteger(tj)
-        for got, want in zip(_jx_eigensystem(j), _fresh_jx_eigensystem(j)):
+        for got, want in zip(_jx_eigensystem(tj), _fresh_jx_eigensystem(j)):
             assert got.tobytes() == want.tobytes(), tj
         psi = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
         state = SpinState(j, psi / np.linalg.norm(psi))
@@ -201,29 +221,49 @@ def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
         ]
         cold = []
         for call in calls:
-            su2._JX_KEPT.pop(tj, None)
+            _jx_eigensystem.kept.pop(tj, None)
             cold.append(call().tobytes())
         assert [call().tobytes() for call in calls] == cold, tj
-    assert sorted(su2._JX_KEPT) == list(range(65))
+    assert sorted(_jx_eigensystem.kept) == list(range(65))
 
 
 def test_jx_memo_is_read_only():
     for tj in (0, 6, 64, 65, 200):
-        w, v = _jx_eigensystem(HalfInteger(tj))
+        w, v = _jx_eigensystem(tj)
         for arr in (w, v):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
     # What was kept is unchanged by the attempts above.
     j = HalfInteger(6)
-    for got, want in zip(_jx_eigensystem(j), _fresh_jx_eigensystem(j)):
+    for got, want in zip(_jx_eigensystem(6), _fresh_jx_eigensystem(j)):
         assert got.tobytes() == want.tobytes()
 
 
 def test_large_noon_runs_keep_no_jx_eigensystem():
-    # noon-large's distinct N must not pin an O(d^2) eigenvector matrix each.
+    # noon-large's distinct N must not pin a per-2j table each: neither Jx's
+    # O(d^2) eigenvectors nor the binomials.
     for n in range(200, 1001, 37):
         make_noon(n)
-    assert all(tj <= 64 for tj in su2._JX_KEPT)
+    for table in TABLES:
+        assert all(tj <= 64 for tj in table.kept), table.__name__
+
+
+def test_warm_verify_suite_builds_no_table():
+    # Every 2j verify visits is at most 64, so once warm it reads each
+    # table from what was kept and calls neither builder.
+    import cProfile
+    import pstats
+
+    from spincat.verify import run_suite
+
+    run_suite(60)
+    profile = cProfile.Profile()
+    profile.runcall(run_suite, 60)
+    stats = pstats.Stats(profile).stats
+    for table in TABLES:
+        code = table.__wrapped__.__code__
+        calls = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+        assert calls == 0, table.__name__
 
 
 def test_verify_suite_same_cold_and_warm():
