@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _jx_function, _per_twice_j, jx, jy, jz
+from .su2 import SpinOperator, SpinState, _jx_eigensystem, _jx_function, _ladder, _per_twice_j
 
 
 @dataclass(frozen=True)
@@ -203,6 +203,18 @@ def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
     return radial * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
 
 
+def _rotation_parameters(j: HalfInteger, label: SpinorLabel) -> tuple[float, np.ndarray]:
+    """(theta, r) of `rotation_operator`'s unitary I + R V (e^{i theta w} - 1) V^T R^dag, R = diag(r).
+
+    Raises PoleLabel at the pole, where phi is not unique.
+    """
+    if not label.u_abs:
+        raise PoleLabel("rotation_operator requires a finite label")
+    theta = 2.0 * math.atan(abs(label.gamma))
+    arg_u, arg_v = label.phases  # as in `bloch_direction`
+    return theta, np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))
+
+
 def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
     """Unitary taking the lowest-weight state |j,-j>_z onto |j,gamma>.
 
@@ -222,17 +234,29 @@ def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
     the pole, where this parametrization has no unique phi;
     `coherent_expansion` builds that state directly.
     """
-    label = as_label(gamma)
-    if not label.u_abs:
-        raise PoleLabel("rotation_operator requires a finite label")
-    theta = 2.0 * math.atan(abs(label.gamma))
-    arg_u, arg_v = label.phases  # as in `bloch_direction`
-    r = np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))
+    theta, r = _rotation_parameters(j, as_label(gamma))
     unitary = _jx_function(j, lambda w: np.expm1(1j * theta * w))
     unitary *= r[:, None]
     unitary *= r.conj()
     unitary.flat[:: j.dim + 1] += 1.0
     return SpinOperator(j, unitary)
+
+
+def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
+    """`rotation_operator(j, label)` applied to |j,-j>_z, one column per label.
+
+    Column 0 of I + R V (e^{i theta w} - 1) V^T R^dag is
+    e_0 + r (V ((e^{i theta w} - 1) V[0]^T)) conj(r_0): the d x n matrix of
+    those middle vectors takes one real product with V, so no d x d
+    complex matrix is formed for any label.
+    """
+    w, v = _jx_eigensystem(j.twice_value)
+    thetas, rs = zip(*(_rotation_parameters(j, as_label(g)) for g in labels))
+    r = np.column_stack(rs)
+    middle = np.expm1(1j * np.outer(w, thetas)) * v[0][:, None] * r[0].conj()
+    out = r * (v @ middle.real + 1j * (v @ middle.imag))
+    out[0] += 1.0
+    return out
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:
@@ -247,13 +271,14 @@ def fidelity(a: SpinState, b: SpinState) -> float:
 
 
 def mean_spin(state: SpinState) -> np.ndarray:
-    """(<Jx>, <Jy>, <Jz>) as a real 3-vector."""
-    vals = np.array(
-        [np.vdot(state.amplitudes, op(state.j).matrix @ state.amplitudes) for op in (jx, jy, jz)]
-    )
-    if np.max(np.abs(vals.imag)) > 1e-12:
-        raise ValueError("generator expectations came out non-real")
-    return vals.real
+    """(<Jx>, <Jy>, <Jz>) as a real 3-vector, in O(d) from J+'s band.
+
+    <J+> = sum_k l_k conj(psi_{k+1}) psi_k is <Jx> + i <Jy>, and
+    <Jz> = sum_k m_k |psi_k|^2.
+    """
+    psi = state.amplitudes
+    plus = np.vdot(psi[1:], _ladder(state.j) * psi[:-1])
+    return np.array([plus.real, plus.imag, m_values(state.j) @ (psi.real**2 + psi.imag**2)])
 
 
 @dataclass(frozen=True)

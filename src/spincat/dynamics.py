@@ -21,8 +21,9 @@ multiplies amplitudes by phases and builds no d x d complex unitary, and
 `quarter_period_unitary` on axis z is the diagonal of those same phases.
 `x_rotation` is V e^{-i angle w} V^T from Jx's real eigensystem (w, V).
 Only the axis-y `quarter_period_unitary` exponentiates a dense Hamiltonian
-with `expm_hermitian`, so `verify_rotated_identity` compares that route
-against the conjugation of the diagonal twist by `x_rotation`.
+with `expm_hermitian`; it is the reference for `verify_rotated_identity`,
+whose two routes apply the y twist in Jy's eigenbasis D V and conjugate the
+diagonal twist by the pi/2 x rotation, both as products with V.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ import numpy as np
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _jx_function, expm_hermitian, jy, jz, weight_state
+from .su2 import _MINUS_I_POWERS, SpinOperator, SpinState, _jx_eigensystem, _jx_function, expm_hermitian, jy, jz, rotate, weight_state
 
 _OMEGA_GATE_TOL = 1e-9
 
@@ -55,14 +56,15 @@ def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> Spi
     return SpinOperator(j, omega * gen + (1.0 / j.twice_value) * gen @ gen)
 
 
-def _quarter_phases(j: HalfInteger, omega: float) -> np.ndarray:
-    """exp(-i h tau/4) over m = -j..j, the axis-z quarter twist's diagonal.
+def _quarter_phases(j: HalfInteger, omega: float, m=None) -> np.ndarray:
+    """exp(-i h tau/4), h = omega m + m^2 / 2j, over the eigenvalues m of J_a.
 
-    H is diagonal, h_m = omega m + m^2 / 2j.  An omega so large that this
-    phase overflows raises `NonFinitePhase`.
+    By default m = -j..j, and this is the axis-z quarter twist's diagonal.
+    An omega so large that this phase overflows raises `NonFinitePhase`.
     """
     quarter = _quarter_period(j)
-    m = m_values(j)
+    if m is None:
+        m = m_values(j)
     with np.errstate(over="ignore", invalid="ignore"):
         h = omega * m + (1.0 / j.twice_value) * (m * m)
         phase = -1j * h * quarter
@@ -209,24 +211,41 @@ class RotatedIdentityResult:
     path_agreement: float  # fidelity between the two final states
 
 
+def _rotated_identity_routes(j: HalfInteger, omega: float) -> tuple[SpinState, SpinState]:
+    """The quarter-period y-twist of |j,j>_z, (directly, by conjugation).
+
+    Directly: Jy = D Jx D^dag with D = diag((-i)^k), as in `rotate`, so the
+    y-axis Hamiltonian has eigenvectors D V and eigenvalues
+    omega w + w^2 / 2j, (w, V) Jx's eigensystem, and the state is
+    D V e^{-i tau/4 (omega w + w^2/2j)} V^T D^dag |j,j>.  By conjugation: the
+    diagonal z-axis twist between the pi/2 x rotation and its inverse.
+    Both are O(d^2) products with V; neither exponentiates a matrix.  The
+    rotation takes Jz to -Jy, so the second route twists with -omega; the
+    two agree once the linear phase clears.
+    """
+    w, v = _jx_eigensystem(j.twice_value)
+    d = _MINUS_I_POWERS[np.arange(j.dim) % 4]
+    # V^T D^dag |j,j> is the last row of V times conj(D)'s last entry.
+    c = _quarter_phases(j, omega, w) * v[-1] * d[-1].conjugate()
+    direct = SpinState(j, d * (v @ c.real + 1j * (v @ c.imag)))
+
+    turned = rotate(weight_state(j, j.twice_value), "x", -math.pi / 2.0)
+    conjugated = rotate(quarter_period_evolve(turned, omega), "x", math.pi / 2.0)
+    return direct, conjugated
+
+
 def verify_rotated_identity(j: HalfInteger, omega: float = 0.0) -> RotatedIdentityResult:
     """Drive |j,j>_z with the y-axis twist, both directly and by conjugation.
 
-    Route one exponentiates omega * Jy + Jy^2 / 2j directly; route
-    two conjugates the diagonal z-axis evolution with the pi/2 x rotation,
-    scaling the rotation's columns by the twist's phases.  Both are
-    compared to `rotated_cat_prediction`; contract: all three fidelities
-    >= 1 - 1e-10 for integer j when the omega gate passes.
+    Route one applies omega * Jy + Jy^2 / 2j in Jy's eigenbasis; route two
+    conjugates the diagonal z-axis evolution with the pi/2 x rotation
+    (`_rotated_identity_routes`).  Both are compared to
+    `rotated_cat_prediction`; contract: all three fidelities >= 1 - 1e-10
+    for integer j when the omega gate passes.
     """
     _require_integer(j)
     _require_cleared_linear_phase(j, omega)
-
-    start = weight_state(j, j.twice_value)
-    direct = quarter_period_unitary(j, omega, "y").apply(start)
-
-    rx = x_rotation(j, math.pi / 2.0).matrix
-    conjugated = SpinOperator(j, (rx * _quarter_phases(j, omega)) @ rx.conj().T).apply(start)
-
+    direct, conjugated = _rotated_identity_routes(j, omega)
     target = rotated_cat_prediction(j)
     return RotatedIdentityResult(
         fidelity=abs(overlap(target, direct)),

@@ -14,11 +14,12 @@ from numbers import Integral
 
 import numpy as np
 
+from . import su2
 from .coherent import coherent_expansion
 from .dynamics import quarter_period_evolve
 from .errors import InvalidN
-from .halfint import HalfInteger
-from .su2 import SpinState, _unit_vector, jminus, jplus, jz, rotate
+from .halfint import HalfInteger, m_values
+from .su2 import SpinState, _unit_vector, rotate
 
 
 def _size(value, least: int, error: type[Exception], what: str) -> int:
@@ -67,16 +68,25 @@ def fock_to_spin(state: TwoModeState) -> SpinState:
     return SpinState(HalfInteger(state.n_total), state.amplitudes)
 
 
-def sector_mode_operators(n_total: int) -> dict[str, np.ndarray]:
-    """Bilinear mode operators restricted to the N-photon sector.
+def _sector_bands(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_a, n_b, sqrt((n_a + 1) n_b)) over the N-photon sector, n_a = 0..N.
 
-    Keys: 'adag_b' (raises n_a), 'a_bdag' (lowers n_a), 'num_a', 'num_b'.
+    The last array, over n_a = 0..N-1, is a^dag b's band below the diagonal:
+    its entry for n_a -> n_a + 1.
     """
     if n_total < 0:
         raise ValueError("n_total must be >= 0")
     n_a = np.arange(n_total + 1, dtype=float)
     n_b = n_total - n_a
-    lower = np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])  # entry for n_a -> n_a + 1
+    return n_a, n_b, np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])
+
+
+def sector_mode_operators(n_total: int) -> dict[str, np.ndarray]:
+    """Bilinear mode operators restricted to the N-photon sector.
+
+    Keys: 'adag_b' (raises n_a), 'a_bdag' (lowers n_a), 'num_a', 'num_b'.
+    """
+    n_a, n_b, lower = _sector_bands(n_total)
     return {
         "adag_b": np.diag(lower, k=-1).astype(np.complex128),
         "a_bdag": np.diag(lower, k=1).astype(np.complex128),
@@ -88,29 +98,25 @@ def sector_mode_operators(n_total: int) -> dict[str, np.ndarray]:
 def verify_schwinger_realization(j: HalfInteger) -> float:
     """Largest residual between the mode-built and ladder-built generators.
 
-    Builds J+ = a^dag b, J- = a b^dag, Jz = (n_a - n_b)/2 and
-    J0 = (n_a + n_b)/2 on the N = 2j sector, maps them through the
-    weight <-> Fock relabeling, and compares against the direct spin
-    matrices; also checks J^2 = J0(J0 + 1) and J0 = j * identity.
-    Contract: <= 1e-12 in Frobenius norm.
+    On the N = 2j sector J+ = a^dag b has the band sqrt((n_a+1) n_b),
+    Jz = (n_a - n_b)/2 and J0 = (n_a + n_b)/2 are diagonal; through the
+    weight <-> Fock relabeling these are compared with J+'s band
+    (`su2._ladder`), the weights m and j.  J- = a b^dag is the adjoint of
+    a^dag b, so its residual is J+'s.  J^2 = J0(J0 + 1) is compared on the
+    diagonal, where the mode-built J^2 lives (`su2._ladder_squares`).  All
+    in O(d).  Contract: <= 1e-12 in Frobenius norm.
     """
-    ops = sector_mode_operators(j.twice_value)
-    jp_f, jm_f = ops["adag_b"], ops["a_bdag"]
-    jz_f = (ops["num_a"] - ops["num_b"]) / 2.0
-    j0 = (ops["num_a"] + ops["num_b"]) / 2.0
-    jx_f = (jp_f + jm_f) / 2.0
-    jy_f = (jp_f - jm_f) / 2.0j
-
-    eye = np.eye(j.dim)
-    jsq = jx_f @ jx_f + jy_f @ jy_f + jz_f @ jz_f
+    n_a, n_b, lower = _sector_bands(j.twice_value)
+    jz_f = (n_a - n_b) / 2.0
+    j0 = (n_a + n_b) / 2.0
+    below, above = su2._ladder_squares(lower)
     residuals = [
-        np.linalg.norm(jp_f - jplus(j).matrix),
-        np.linalg.norm(jm_f - jminus(j).matrix),
-        np.linalg.norm(jz_f - jz(j).matrix),
-        np.linalg.norm(jsq - j0 @ (j0 + eye)),
-        np.linalg.norm(j0 - j.value * eye),
+        np.linalg.norm(lower - su2._ladder(j)),
+        np.linalg.norm(jz_f - m_values(j)),
+        np.linalg.norm((below + above) / 2.0 + jz_f * jz_f - j0 * (j0 + 1.0)),
+        np.linalg.norm(j0 - j.value),
     ]
-    return float(max(residuals))
+    return float(np.max(residuals))
 
 
 def make_noon(n_total: int, omega: float = 0.0, gamma_choice: str = "i") -> TwoModeState:

@@ -9,6 +9,11 @@ exponentiates any Hermitian generator by dense eigendecomposition; it
 serves only the axis-y `quarter_period_unitary`, and is the reference the
 structured routes are tested against.
 
+The pipeline reads three structures: J+'s band (`_ladder`), the weights m
+and Jx's eigensystem.  `verify` checks the algebra on exactly these, in
+O(d) from the band and its squares (`_ladder_squares`) and in O(d^2) for
+Jx V = V diag(w); the dense generators below are the tests' reference.
+
 Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
 built afresh per call past 64, so a run of distinct large 2j holds nothing
@@ -141,6 +146,18 @@ def _ladder(j: HalfInteger) -> np.ndarray:
     """sqrt(j(j+1) - m(m+1)) for m = -j..j-1, the J+ entries below the diagonal."""
     m = m_values(j)[:-1]
     return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
+
+
+def _ladder_squares(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l_{k-1}^2, l_k^2) over k = 0..2j, l_{-1} = l_{2j} = 0: the diagonals of J+J- and J-J+.
+
+    `ladder` is a J+ band, l_k below the diagonal, so [J+, J-] has diagonal
+    l_{k-1}^2 - l_k^2 and the Casimir Jx^2 + Jy^2 + Jz^2 = (J+J- + J-J+)/2 + Jz^2
+    is diagonal, (l_{k-1}^2 + l_k^2)/2 + m_k^2.
+    """
+    sq = np.zeros(ladder.size + 2)
+    sq[1:-1] = ladder * ladder
+    return sq[:-1], sq[1:]
 
 
 # verify sweeps every 2j up to here again in each section; past it a table

@@ -20,11 +20,15 @@ from spincat import (
     as_label,
     coherent_expansion,
     expm_hermitian,
+    jminus,
+    jplus,
     jx,
     jy,
+    jz,
     kerr_hamiltonian,
     m_values,
 )
+from spincat.schwinger import sector_mode_operators
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
@@ -178,3 +182,50 @@ def x_rotation_dense(j: HalfInteger, angle: float) -> SpinOperator:
 def quarter_period_unitary_dense(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
     """exp(-i H tau/4), tau/4 = pi j, by dense eigh of the twist Hamiltonian."""
     return expm_hermitian(kerr_hamiltonian(j, omega, axis), math.pi * j.twice_value / 2.0)
+
+
+def ladder_residuals_dense(j: HalfInteger, ladder: np.ndarray) -> tuple[float, float]:
+    """verify's (commutator, Casimir) residuals from dense matrices built on `ladder`:
+    max ||[J+, J-] - 2Jz||, ||[Jz, J+] - J+|| and ||C - j(j+1)||, each over d."""
+    d = j.dim
+    plus = np.diag(ladder, k=-1).astype(np.complex128)
+    minus = plus.conj().T
+    z = np.diag(m_values(j)).astype(np.complex128)
+    x, y = (plus + minus) / 2.0, (plus - minus) / 2.0j
+    comm = max(
+        np.linalg.norm(plus @ minus - minus @ plus - 2.0 * z) / d,
+        np.linalg.norm(z @ plus - plus @ z - plus) / d,
+    )
+    cas = np.linalg.norm(x @ x + y @ y + z @ z - j.casimir_eigenvalue() * np.eye(d)) / d
+    return comm, cas
+
+
+def jx_eigensystem_residual_dense(j: HalfInteger, w: np.ndarray, v: np.ndarray) -> float:
+    """max(||Jx V - V diag(w)||_F / d, max |w - m|, max |V^T V - I|) with the dense Jx."""
+    return max(
+        np.linalg.norm(jx(j).matrix @ v - v * w) / j.dim,
+        float(np.max(np.abs(w - m_values(j)))),
+        float(np.max(np.abs(v.T @ v - np.eye(j.dim)))),
+    )
+
+
+def schwinger_residual_dense(j: HalfInteger) -> float:
+    """The mode-built generators on the N = 2j sector against the dense spin
+    matrices, J^2 = J0(J0 + 1) and J0 = j, largest Frobenius residual."""
+    ops = sector_mode_operators(j.twice_value)
+    jp_f, jm_f = ops["adag_b"], ops["a_bdag"]
+    jz_f = (ops["num_a"] - ops["num_b"]) / 2.0
+    j0 = (ops["num_a"] + ops["num_b"]) / 2.0
+    jx_f = (jp_f + jm_f) / 2.0
+    jy_f = (jp_f - jm_f) / 2.0j
+    eye = np.eye(j.dim)
+    jsq = jx_f @ jx_f + jy_f @ jy_f + jz_f @ jz_f
+    return float(
+        max(
+            np.linalg.norm(jp_f - jplus(j).matrix),
+            np.linalg.norm(jm_f - jminus(j).matrix),
+            np.linalg.norm(jz_f - jz(j).matrix),
+            np.linalg.norm(jsq - j0 @ (j0 + eye)),
+            np.linalg.norm(j0 - j.value * eye),
+        )
+    )

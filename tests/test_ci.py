@@ -1,4 +1,5 @@
-"""The CI workflow parses and runs ROADMAP's tier-1 command word for word.
+"""The CI workflow parses, runs ROADMAP's tier-1 command word for word, and
+then runs the installed `spincat verify` entry point.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
@@ -20,4 +21,8 @@ def test_workflow_runs_the_tier_1_command():
     steps = {step.get("name"): step for step in job["steps"]}
     assert steps["install"]["run"] == "pip install -e .[test]"
     assert steps["tier-1"]["run"] == tier_1
+    # Tier-1 calls cli.main in-process; only this step runs the console script.
+    names = [step.get("name") for step in job["steps"]]
+    assert names.index("verify") > names.index("tier-1")
+    assert steps["verify"]["run"].split()[:2] == ["spincat", "verify"]
     assert any(step.get("with", {}).get("python-version") == "3.11" for step in job["steps"])

@@ -20,13 +20,16 @@ from spincat import (
     HalfInteger,
     IrrepMismatch,
     PoleLabel,
+    SpinState,
     SpinorLabel,
     as_label,
     bloch_direction,
     coherent_expansion,
     fidelity,
     husimi_grid,
+    jx,
     jy,
+    jz,
     mean_spin,
     overlap,
     rotate,
@@ -258,6 +261,17 @@ def test_mean_spin_frozen():
     # |j,i> sits on the equator pointing along -y under this convention
     assert np.allclose(mean_spin(coherent_expansion(j, 1j)), [0, -3, 0], atol=1e-13)
     assert np.allclose(mean_spin(coherent_expansion(j, as_label(math.inf))), [0, 0, 3], atol=1e-13)
+
+
+def test_mean_spin_matches_the_dense_generators():
+    rng = np.random.default_rng(11)
+    for tj in range(41):
+        j = HalfInteger(tj)
+        for _ in range(4):
+            amps = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+            state = SpinState(j, amps / np.linalg.norm(amps))
+            want = np.array([expectation(op(j), state).real for op in (jx, jy, jz)])
+            assert np.max(np.abs(mean_spin(state) - want)) <= 1e-14 * np.max(np.abs(want)), tj
 
 
 @given(st.integers(min_value=1, max_value=20), st.floats(0, 2 * math.pi, exclude_max=True))

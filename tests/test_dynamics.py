@@ -372,20 +372,27 @@ def test_rotated_identity_relative_phase_is_j_independent():
         assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-10)
 
 
-def test_verify_suite_makes_one_dense_exponential_per_j(monkeypatch):
-    # Only the axis-y twist of the rotated-identity section, one per integer
-    # j <= 30, exponentiates densely; the other operators come from structure.
+def test_verify_suite_makes_no_dense_exponential(monkeypatch):
+    # Both rotated-identity routes are products with Jx's eigenvectors; the
+    # dense axis-y twist is only the tests' reference.  Every dense operator
+    # the package builds is a SpinOperator, and verify builds none.
     calls = []
     dense = su2.expm_hermitian
+    build = su2.SpinOperator.__post_init__
 
     def counted(h, t):
         calls.append(h.j.twice_value)
         return dense(h, t)
 
+    def built(op):
+        calls.append(op.j.twice_value)
+        build(op)
+
     for module in (su2, dynamics):
         monkeypatch.setattr(module, "expm_hermitian", counted)
+    monkeypatch.setattr(su2.SpinOperator, "__post_init__", built)
     run_suite(60)
-    assert calls == list(range(2, 61, 2))
+    assert calls == []
 
 
 def test_rotated_identity_gates():

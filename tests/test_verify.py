@@ -1,0 +1,202 @@
+"""verify's structured checks: each agrees with its dense oracle and fails
+when the structure it reads is corrupted."""
+import math
+
+import numpy as np
+import pytest
+
+from _oracles import (
+    jx_eigensystem_residual_dense,
+    ladder_residuals_dense,
+    quarter_period_unitary_dense,
+    rotation_operator_dense,
+    schwinger_residual_dense,
+)
+from spincat import (
+    HalfInteger,
+    as_label,
+    rotation_operator,
+    verify_schwinger_realization,
+    weight_state,
+)
+from spincat import coherent, dynamics, schwinger, su2
+from spincat.coherent import _rotated_lowest
+from spincat.dynamics import _rotated_identity_routes
+from spincat.verify import (
+    _algebra_section,
+    _coherent_section,
+    _jx_eigensystem_residual,
+    _ladder_residuals,
+    _rotated_section,
+    _schwinger_section,
+)
+
+MAX_TJ = 12
+
+
+@pytest.fixture
+def kept_tables():
+    """Jx's eigensystem kept for every 2j <= MAX_TJ before a test corrupts the ladder,
+    so the kept tables are never built from a corrupted band."""
+    for tj in range(MAX_TJ + 1):
+        su2._jx_eigensystem(tj)
+
+
+def _checks(results) -> dict[str, bool]:
+    return {r.name.split(",")[0]: r.passed for r in results}
+
+
+def _corrupt_ladder(monkeypatch, twice_j, corrupt):
+    ladder = su2._ladder
+
+    def corrupted(j):
+        band = ladder(j)
+        if j.twice_value == twice_j:
+            band = band.copy()
+            corrupt(band)
+        return band
+
+    monkeypatch.setattr(su2, "_ladder", corrupted)
+
+
+def test_nan_in_the_ladder_fails_the_algebra_checks(monkeypatch, kept_tables):
+    assert all(_checks(_algebra_section(MAX_TJ)).values())
+    _corrupt_ladder(monkeypatch, 7, lambda band: band.__setitem__(3, math.nan))
+    results = list(_algebra_section(MAX_TJ))
+    assert not any(_checks(results).values())
+    assert all("worst nan" in r.detail for r in results)
+
+
+def test_a_ladder_entry_off_by_1e_9_fails_every_band_check(monkeypatch, kept_tables):
+    def scale(band):
+        band[4] *= 1.0 + 1e-9
+
+    _corrupt_ladder(monkeypatch, 10, scale)
+    assert _checks(_algebra_section(MAX_TJ)) == {
+        "commutators on the ladder band": False,
+        "casimir diagonal = j(j+1)": False,
+        "Jx eigensystem": False,
+    }
+    assert verify_schwinger_realization(HalfInteger(10)) > 1e-12
+    assert verify_schwinger_realization(HalfInteger(9)) <= 1e-12
+
+
+def _swap_columns(w, v):
+    v = v.copy()
+    v[:, [2, 5]] = v[:, [5, 2]]
+    return w, v
+
+
+def _shift_eigenvalue(w, v):
+    w = w.copy()
+    w[3] += 1e-9
+    return w, v
+
+
+def _scale_column(w, v):
+    # Still an eigenvector, but no longer a unit one.
+    v = v.copy()
+    v[:, 4] *= 1.0 + 1e-9
+    return w, v
+
+
+@pytest.mark.parametrize("corrupt", [_swap_columns, _shift_eigenvalue, _scale_column])
+def test_a_corrupted_jx_eigensystem_fails_its_check(monkeypatch, corrupt):
+    kept = su2._jx_eigensystem
+
+    def corrupted(twice_j):
+        return corrupt(*kept(twice_j)) if twice_j == 8 else kept(twice_j)
+
+    for module in (su2, coherent, dynamics):
+        monkeypatch.setattr(module, "_jx_eigensystem", corrupted)
+    checks = _checks(_algebra_section(MAX_TJ))
+    assert checks.pop("Jx eigensystem") is False
+    assert all(checks.values())
+    if corrupt is _swap_columns:
+        # The coherent rotations and the rotated identity run on the same V.
+        assert not _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))["rotation vs expansion"]
+        assert not _checks(_rotated_section(MAX_TJ))["both routes vs prediction"]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_a_perturbed_fock_entry_fails_the_schwinger_check(monkeypatch, which):
+    bands = schwinger._sector_bands
+
+    def corrupted(n_total):
+        arrays = [a.copy() for a in bands(n_total)]
+        if n_total == 6:
+            arrays[which][2] *= 1.0 + 1e-9
+        return tuple(arrays)
+
+    monkeypatch.setattr(schwinger, "_sector_bands", corrupted)
+    assert verify_schwinger_realization(HalfInteger(6)) > 1e-12
+    assert not _checks(_schwinger_section(MAX_TJ))["mode-operator residuals"]
+
+
+def _scaled_entry(band, k, factor):
+    band = band.copy()
+    if band.size:
+        band[k % band.size] *= factor
+    return band
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
+def test_band_residuals_agree_with_the_dense_oracle(factor):
+    for tj in range(61):
+        j = HalfInteger(tj)
+        ladder = _scaled_entry(su2._ladder(j), tj // 2, factor)
+        got, want = _ladder_residuals(j, ladder), ladder_residuals_dense(j, ladder)
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-14), (tj, got, want)
+        if factor == 1.0:
+            assert max(got) <= 1e-12
+
+
+@pytest.mark.parametrize("corrupt", [None, _swap_columns, _shift_eigenvalue, _scale_column])
+def test_jx_eigensystem_residual_agrees_with_the_dense_oracle(corrupt):
+    for tj in range(6, 61):
+        j = HalfInteger(tj)
+        w, v = su2._jx_eigensystem(tj)
+        if corrupt is not None:
+            w, v = corrupt(w, v)
+        got = _jx_eigensystem_residual(j, su2._ladder(j), w, v)
+        want = jx_eigensystem_residual_dense(j, w, v)
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-13), tj
+        assert (got <= 1e-12) == (corrupt is None)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
+def test_schwinger_residual_agrees_with_the_dense_oracle(monkeypatch, factor):
+    bands = schwinger._sector_bands
+
+    def scaled(n_total):
+        n_a, n_b, lower = bands(n_total)
+        return n_a, n_b, _scaled_entry(lower, n_total // 2, factor)
+
+    monkeypatch.setattr(schwinger, "_sector_bands", scaled)
+    for tj in range(61):
+        j = HalfInteger(tj)
+        got, want = verify_schwinger_realization(j), schwinger_residual_dense(j)
+        # Uncorrupted, both sit under the 1e-12 contract; the dense J^2 rounds more.
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-12), tj
+
+
+def test_rotated_lowest_is_column_0_of_rotation_operator():
+    rng = np.random.default_rng(3)
+    for tj in range(31):
+        j = HalfInteger(tj)
+        labels = [as_label(g) for g in rng.uniform(0.1, 2.5, 7) * np.exp(2j * math.pi * rng.uniform(size=7))]
+        built = _rotated_lowest(j, labels)
+        for column, label in zip(built.T, labels):
+            assert np.max(np.abs(column - rotation_operator(j, label).matrix[:, 0])) <= 1e-14
+            assert np.max(np.abs(column - rotation_operator_dense(j, label).matrix[:, 0])) <= 1e-12
+
+
+def test_rotated_identity_routes_match_the_dense_oracle():
+    for jj in range(1, 31):
+        j = HalfInteger(2 * jj)
+        # omega tau/4 = 2 pi j clears the linear phase, as verify_rotated_identity requires.
+        for omega in (0.0, 2.0):
+            want = quarter_period_unitary_dense(j, omega, "y").apply(weight_state(j, 2 * jj)).amplitudes
+            for route in _rotated_identity_routes(j, omega):
+                assert np.max(np.abs(route.amplitudes - want)) <= 1e-12, (jj, omega)
+
