@@ -42,7 +42,6 @@ from .coherent import (
     mean_spin,
     overlap,
     rotate_label,
-    rotation_operator,
     stereographic,
 )
 from .dynamics import (
@@ -56,7 +55,6 @@ from .dynamics import (
     rotated_cat_prediction,
     verify_cat_identity,
     verify_rotated_identity,
-    x_rotation,
 )
 from .schwinger import (
     NoonState,

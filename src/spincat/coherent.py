@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _jx_eigensystem, _jx_function, _ladder, _per_twice_j
+from .su2 import SpinState, _jx_eigensystem, _ladder, _per_twice_j
 
 
 @dataclass(frozen=True)
@@ -204,51 +204,33 @@ def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
 
 
 def _rotation_parameters(j: HalfInteger, label: SpinorLabel) -> tuple[float, np.ndarray]:
-    """(theta, r) of `rotation_operator`'s unitary I + R V (e^{i theta w} - 1) V^T R^dag, R = diag(r).
+    """(theta, r) of the rotation I + R V (e^{i theta w} - 1) V^T R^dag, R = diag(r), in `_rotated_lowest`.
 
     Raises PoleLabel at the pole, where phi is not unique.
     """
     if not label.u_abs:
-        raise PoleLabel("rotation_operator requires a finite label")
+        raise PoleLabel("the rotation from |j,-j> requires a finite label")
     theta = 2.0 * math.atan(abs(label.gamma))
     arg_u, arg_v = label.phases  # as in `bloch_direction`
     return theta, np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))
 
 
-def rotation_operator(j: HalfInteger, gamma) -> SpinOperator:
-    """Unitary taking the lowest-weight state |j,-j>_z onto |j,gamma>.
-
-    With gamma = e^{i phi} tan(theta/2) this is the rotation
-    exp{ (theta/2) (e^{i phi} J+ - e^{-i phi} J-) }; the phase of the
-    ladder combination is fixed so the rotated state matches
-    `coherent_expansion` component by component, not just up to phase.
-
-    The generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with the
-    diagonal R = exp(-i (pi/2 - phi) Jz) = diag(r), so with (w, V) the real
-    eigensystem of Jx the unitary is I + R V (e^{i theta w} - 1) V^T R^dag:
-    the function of Jx, its rows scaled by r and its columns by conj(r).
-    No complex matrix is diagonalized, and theta = 0 gives I exactly.
-
-    A label whose u carries a phase gets the unitary of its gamma, which
-    reaches that label's state up to a global phase.  Raises PoleLabel at
-    the pole, where this parametrization has no unique phi;
-    `coherent_expansion` builds that state directly.
-    """
-    theta, r = _rotation_parameters(j, as_label(gamma))
-    unitary = _jx_function(j, lambda w: np.expm1(1j * theta * w))
-    unitary *= r[:, None]
-    unitary *= r.conj()
-    unitary.flat[:: j.dim + 1] += 1.0
-    return SpinOperator(j, unitary)
-
-
 def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
-    """`rotation_operator(j, label)` applied to |j,-j>_z, one column per label.
+    """The rotation of |j,-j>_z onto each label's |j,gamma>, one column per label.
 
-    Column 0 of I + R V (e^{i theta w} - 1) V^T R^dag is
-    e_0 + r (V ((e^{i theta w} - 1) V[0]^T)) conj(r_0): the d x n matrix of
-    those middle vectors takes one real product with V, so no d x d
-    complex matrix is formed for any label.
+    With gamma = e^{i phi} tan(theta/2) the rotation is
+    exp{ (theta/2) (e^{i phi} J+ - e^{-i phi} J-) }, its ladder phase fixed
+    so the column matches `coherent_expansion` entry by entry, not just up
+    to phase.  Its generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with
+    R = exp(-i (pi/2 - phi) Jz) = diag(r), so with (w, V) Jx's real
+    eigensystem the unitary is I + R V (e^{i theta w} - 1) V^T R^dag, and
+    its column 0 is e_0 + r (V ((e^{i theta w} - 1) V[0]^T)) conj(r_0).  The
+    d x n matrix of those middle vectors takes one real product with V, so
+    no d x d complex matrix is formed for any label.
+
+    A label whose u carries a phase gets the column of its gamma, that
+    label's state up to a global phase.  Raises PoleLabel at the pole, where
+    phi is not unique; `coherent_expansion` builds that state directly.
     """
     w, v = _jx_eigensystem(j.twice_value)
     thetas, rs = zip(*(_rotation_parameters(j, as_label(g)) for g in labels))

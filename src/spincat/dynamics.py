@@ -17,13 +17,11 @@ this two-label form (the components come out rotated by pi/2 in phi
 instead); `cat_scan` measures that case rather than asserting it.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
-multiplies amplitudes by phases and builds no d x d complex unitary, and
-`quarter_period_unitary` on axis z is the diagonal of those same phases.
-`x_rotation` is V e^{-i angle w} V^T from Jx's real eigensystem (w, V).
-Only the axis-y `quarter_period_unitary` exponentiates a dense Hamiltonian
-with `expm_hermitian`; it is the reference for `verify_rotated_identity`,
-whose two routes apply the y twist in Jy's eigenbasis D V and conjugate the
-diagonal twist by the pi/2 x rotation, both as products with V.
+multiplies amplitudes by phases and builds no d x d complex unitary.
+`verify_rotated_identity`'s two routes apply the y twist in Jy's
+eigenbasis D V and conjugate the diagonal twist by the pi/2 x rotation,
+both as products with Jx's eigenvectors V.  `kerr_hamiltonian` is the dense
+Hamiltonian; the tests exponentiate it as the reference for both.
 """
 from __future__ import annotations
 
@@ -35,7 +33,7 @@ import numpy as np
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
 from .halfint import HalfInteger, m_values
-from .su2 import _MINUS_I_POWERS, SpinOperator, SpinState, _jx_eigensystem, _jx_function, expm_hermitian, jy, jz, rotate, weight_state
+from .su2 import _MINUS_I_POWERS, SpinOperator, SpinState, _jx_eigensystem, jy, jz, rotate, weight_state
 
 _OMEGA_GATE_TOL = 1e-9
 
@@ -71,17 +69,6 @@ def _quarter_phases(j: HalfInteger, omega: float, m=None) -> np.ndarray:
     if not np.isfinite(phase).all():
         raise NonFinitePhase(f"omega={omega} makes the quarter-period phase overflow at j={j}")
     return np.exp(phase)
-
-
-def quarter_period_unitary(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
-    """exp(-i H tau/4) as an operator.
-
-    Axis z is the diagonal of `_quarter_phases`; axis y exponentiates the
-    dense `kerr_hamiltonian` with `expm_hermitian`.
-    """
-    if axis == "z":
-        return SpinOperator(j, np.diag(_quarter_phases(j, omega)))
-    return expm_hermitian(kerr_hamiltonian(j, omega, axis), _quarter_period(j))
 
 
 def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
@@ -182,11 +169,6 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
             fid, c_plus, c_minus = fit_two_component(evolved, gamma)
             rows.append(CatScanRow(j.twice_value, omega, fid, c_plus, c_minus))
     return rows
-
-
-def x_rotation(j: HalfInteger, angle: float) -> SpinOperator:
-    """exp(-i * angle * Jx) = V e^{-i angle w} V^T, from Jx's real eigensystem."""
-    return SpinOperator(j, _jx_function(j, lambda w: np.exp(-1j * angle * w)))
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:

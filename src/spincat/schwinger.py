@@ -81,20 +81,6 @@ def _sector_bands(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return n_a, n_b, np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])
 
 
-def sector_mode_operators(n_total: int) -> dict[str, np.ndarray]:
-    """Bilinear mode operators restricted to the N-photon sector.
-
-    Keys: 'adag_b' (raises n_a), 'a_bdag' (lowers n_a), 'num_a', 'num_b'.
-    """
-    n_a, n_b, lower = _sector_bands(n_total)
-    return {
-        "adag_b": np.diag(lower, k=-1).astype(np.complex128),
-        "a_bdag": np.diag(lower, k=1).astype(np.complex128),
-        "num_a": np.diag(n_a).astype(np.complex128),
-        "num_b": np.diag(n_b).astype(np.complex128),
-    }
-
-
 def verify_schwinger_realization(j: HalfInteger) -> float:
     """Largest residual between the mode-built and ladder-built generators.
 

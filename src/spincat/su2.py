@@ -1,18 +1,16 @@
 """Angular-momentum matrices and rotations for a single spin-j representation.
 
 `rotate` turns a state about the x or y axis without building a d x d
-complex unitary: it diagonalizes the real tridiagonal Jx and applies phases in
-that eigenbasis.  `_jx_function` builds a function of Jx, V diag(f(w)) V^T,
-from the same real eigensystem; `dynamics.x_rotation` and
-`coherent.rotation_operator` take their unitaries from it.  `expm_hermitian`
-exponentiates any Hermitian generator by dense eigendecomposition; it
-serves only the axis-y `quarter_period_unitary`, and is the reference the
-structured routes are tested against.
+complex unitary: it diagonalizes the real tridiagonal Jx and applies phases
+in that eigenbasis.  The generator matrices and `expm_hermitian`, which
+exponentiates any Hermitian generator by dense eigendecomposition, are the
+dense reference the state kernels are tested against; nothing in the
+pipeline calls them.
 
 The pipeline reads three structures: J+'s band (`_ladder`), the weights m
 and Jx's eigensystem.  `verify` checks the algebra on exactly these, in
 O(d) from the band and its squares (`_ladder_squares`) and in O(d^2) for
-Jx V = V diag(w); the dense generators below are the tests' reference.
+Jx V = V diag(w).
 
 Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
@@ -126,11 +124,6 @@ class SpinOperator:
         """||M - M^dag||_F / dim."""
         return float(np.linalg.norm(self.matrix - self.matrix.conj().T) / self.j.dim)
 
-    def unitarity_residual(self) -> float:
-        """||M^dag M - 1||_F / dim."""
-        d = self.j.dim
-        return float(np.linalg.norm(self.matrix.conj().T @ self.matrix - np.eye(d)) / d)
-
 
 def weight_state(j: HalfInteger, twice_m: int) -> SpinState:
     """The z-basis ket |j,m>, given 2m."""
@@ -196,19 +189,6 @@ def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
 
 
-def _jx_function(j: HalfInteger, f) -> np.ndarray:
-    """V diag(f(w)) V^T, the function f of Jx, as a new complex d x d array.
-
-    f maps Jx's eigenvalues w to complex values.  diag(f(w)) V^T is held in
-    C order, so its float view is a real d x 2d matrix and V times it is
-    the complex product in one real matmul: no complex copy of V is formed
-    and no complex matrix is diagonalized.
-    """
-    w, v = _jx_eigensystem(j.twice_value)
-    fvt = np.multiply(f(w)[:, None], v.T, order="C")
-    return (v @ fvt.view(np.float64)).view(np.complex128)
-
-
 def _ladder_matrix(j: HalfInteger) -> np.ndarray:
     """J+ as a new complex d x d array, for builders that need no validated copy."""
     return np.diag(_ladder(j), k=-1).astype(np.complex128)
@@ -249,9 +229,8 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     """The unitary exp(-i H t) for a Hermitian generator H.
 
     Computed by dense eigendecomposition, which keeps the result unitary
-    to rounding.  This is the reference route: `rotate`, `x_rotation`,
-    `coherent.rotation_operator` and the diagonal twist in `dynamics` are
-    tested against it.
+    to rounding.  This is the reference route: `rotate`, the rotations in
+    `coherent` and the diagonal twist in `dynamics` are tested against it.
 
     Raises NonHermitianInput if H fails the Hermiticity gate.
     """

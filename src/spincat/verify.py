@@ -3,6 +3,7 @@
 Each section re-measures a family of contracts at its stated tolerance and
 reports the worst observed value, so a failure prints the number that broke
 the bound rather than just a boolean; a NaN is the worst value and fails.
+A fidelity is reported as its deficit 1 - F.
 
 The checks read the structures the pipeline runs on, not dense products of
 them: the algebra from J+'s band (`su2._ladder`) and the weights m in O(d),
@@ -51,17 +52,15 @@ class CheckResult:
     detail: str
 
 
-def _bound(section, name, values, bound, larger_is_better=False) -> CheckResult:
-    """Compare the worst of `values` with `bound`; a NaN among them is the worst and fails.
+def _bound(section, name, values, bound) -> CheckResult:
+    """Compare the largest of `values` with `bound`; a NaN among them is the largest and fails.
 
-    The worst starts from 1 for a fidelity (larger is better) and from 0 for
-    a residual, which is what a check with no values reports.
+    Every check passes a quantity that should be small: a residual, or a
+    fidelity as its deficit 1 - F, so the number printed is the one that
+    matters.  A check with no values reports 0.
     """
-    values = np.asarray(values, dtype=float)
-    worst = float(values.min(initial=1.0) if larger_is_better else values.max(initial=0.0))
-    ok = worst >= bound if larger_is_better else worst <= bound
-    rel = ">=" if larger_is_better else "<="
-    return CheckResult(section, name, bool(ok), f"worst {worst:.3e} ({rel} {bound:.1e})")
+    worst = float(np.asarray(values, dtype=float).max(initial=0.0))
+    return CheckResult(section, name, bool(worst <= bound), f"worst {worst:.3e} (<= {bound:.1e})")
 
 
 def _random_gammas(rng, count) -> np.ndarray:
@@ -179,28 +178,28 @@ def _coherent_section(rng, max_twice_j: int):
 
 def _cat_section(rng, max_twice_j: int):
     limit = min(30, max_twice_j // 2)
-    fids, phases = [], []
+    deficits, phases = [], []
     for jj in range(1, limit + 1):
         j = HalfInteger(2 * jj)
         gammas = [1j, 1.0, complex(_random_gammas(rng, 1)[0])]
         for g in gammas:
             # One evolution per (j, gamma) serves both the identity and the fit.
             evolved = quarter_period_evolve(coherent_expansion(j, g))
-            fids.append(_cat_fidelity(evolved, g))
+            deficits.append(1.0 - _cat_fidelity(evolved, g))
             _, c_plus, c_minus = fit_two_component(evolved, g)
             want = math.pi / 2.0 + jj * math.pi
             phases.append(abs(math.remainder(float(np.angle(c_minus / c_plus)) - want, 2 * math.pi)))
-    yield _bound("cat-identity", f"fidelity, integer j<={limit}", fids, 1.0 - 1e-10, True)
+    yield _bound("cat-identity", f"fidelity, integer j<={limit}", deficits, 1e-10)
     yield _bound("cat-identity", "relative phase pi/2 + j*pi", phases, 1e-8)
 
 
 def _rotated_section(max_twice_j: int):
     limit = min(30, max_twice_j // 2)
-    fids = []
+    deficits = []
     for jj in range(1, limit + 1):
         res = verify_rotated_identity(HalfInteger(2 * jj), omega=0.0)
-        fids.extend((res.fidelity, res.conjugated_fidelity, res.path_agreement))
-    yield _bound("rotated-identity", f"both routes vs prediction, j<={limit}", fids, 1.0 - 1e-10, True)
+        deficits.extend(1.0 - f for f in (res.fidelity, res.conjugated_fidelity, res.path_agreement))
+    yield _bound("rotated-identity", f"both routes vs prediction, j<={limit}", deficits, 1e-10)
 
 
 def _schwinger_section(max_twice_j: int):
@@ -233,9 +232,9 @@ def _noon_states(max_twice_j: int) -> dict:
 
 def _noon_section(max_twice_j: int, noon_states):
     limit = min(60, max_twice_j)
-    fids = [noon_fidelity(out)[0] for out in noon_states.values()]
+    deficits = [1.0 - noon_fidelity(out)[0] for out in noon_states.values()]
     offs = [off_support_mass(out) for out in noon_states.values()]
-    yield _bound("noon-pipeline", f"fidelity, even N<={limit}, both routes", fids, 1.0 - 1e-10, True)
+    yield _bound("noon-pipeline", f"fidelity, even N<={limit}, both routes", deficits, 1e-10)
     yield _bound("noon-pipeline", "off-support mass", offs, 1e-20)
 
 

@@ -28,7 +28,6 @@ from spincat import (
     kerr_hamiltonian,
     m_values,
 )
-from spincat.schwinger import sector_mode_operators
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
@@ -105,6 +104,12 @@ def binomial_probe_amplitudes(n_total: int) -> np.ndarray:
     k = np.arange(n_total + 1)
     probs = np.array([math.comb(n_total, int(kk)) for kk in k], dtype=float) / 2.0**n_total
     return np.sqrt(probs).astype(complex)
+
+
+def unitarity_residual(op: SpinOperator) -> float:
+    """||M^dag M - 1||_F / dim."""
+    d = op.j.dim
+    return float(np.linalg.norm(op.matrix.conj().T @ op.matrix - np.eye(d)) / d)
 
 
 def identity(j: HalfInteger) -> SpinOperator:
@@ -209,10 +214,27 @@ def jx_eigensystem_residual_dense(j: HalfInteger, w: np.ndarray, v: np.ndarray) 
     )
 
 
-def schwinger_residual_dense(j: HalfInteger) -> float:
+def sector_mode_operators(n_total: int) -> dict[str, np.ndarray]:
+    """Bilinear mode operators on the N-photon sector, n_a = 0..N, from the
+    occupations alone: 'adag_b' has sqrt((n_a + 1) n_b) below the diagonal,
+    'a_bdag' is its adjoint, 'num_a' and 'num_b' are diagonal."""
+    n_a = np.arange(n_total + 1, dtype=float)
+    n_b = n_total - n_a
+    adag_b = np.diag(np.sqrt((n_a[:-1] + 1.0) * n_b[:-1]), k=-1).astype(np.complex128)
+    return {
+        "adag_b": adag_b,
+        "a_bdag": adag_b.conj().T,
+        "num_a": np.diag(n_a).astype(np.complex128),
+        "num_b": np.diag(n_b).astype(np.complex128),
+    }
+
+
+def schwinger_residual_dense(j: HalfInteger, ops=None) -> float:
     """The mode-built generators on the N = 2j sector against the dense spin
-    matrices, J^2 = J0(J0 + 1) and J0 = j, largest Frobenius residual."""
-    ops = sector_mode_operators(j.twice_value)
+    matrices, J^2 = J0(J0 + 1) and J0 = j, largest Frobenius residual.
+    `ops` defaults to `sector_mode_operators(2j)`."""
+    if ops is None:
+        ops = sector_mode_operators(j.twice_value)
     jp_f, jm_f = ops["adag_b"], ops["a_bdag"]
     jz_f = (ops["num_a"] - ops["num_b"]) / 2.0
     j0 = (ops["num_a"] + ops["num_b"]) / 2.0

@@ -13,6 +13,7 @@ from _oracles import commutator
 from spincat import (
     BlochDirection,
     HalfInteger,
+    SpinState,
     bloch_direction,
     casimir,
     coherent_expansion,
@@ -30,7 +31,6 @@ from spincat import (
     phase_uncertainty,
     quantum_fisher_information,
     quarter_period_evolve,
-    rotation_operator,
     spin_to_fock,
     stereographic,
     verify_cat_identity,
@@ -39,6 +39,7 @@ from spincat import (
     weight_state,
 )
 from spincat.cli import main
+from spincat.coherent import _rotated_lowest
 from spincat.statefile import load_spin_state, save_state
 
 RNG_SEED = 20260810
@@ -80,12 +81,11 @@ def test_criterion_2_coherent_suite():
     worst_fid = 1.0
     for tj in range(0, 31):
         j = HalfInteger(tj)
-        lowest = weight_state(j, -tj)
         for _ in range(20):
             g = rng.uniform(0.05, 2.5) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-            worst_fid = min(
-                worst_fid, fidelity(rotation_operator(j, g).apply(lowest), coherent_expansion(j, g))
-            )
+            # The rotation of |j,-j>_z onto |j,g>, its column 0.
+            built = SpinState(j, _rotated_lowest(j, [g])[:, 0])
+            worst_fid = min(worst_fid, fidelity(built, coherent_expansion(j, g)))
     worst_round = 0.0
     for theta in np.linspace(0.0, math.pi - 1e-6, 60):
         for phi in np.linspace(0.0, 2 * math.pi, 13, endpoint=False):

@@ -33,10 +33,9 @@ from spincat import (
     verify_cat_identity,
     verify_rotated_identity,
     weight_state,
-    x_rotation,
 )
 from spincat import dynamics, su2
-from spincat.dynamics import quarter_period_unitary
+from spincat.dynamics import _rotated_identity_routes
 from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
@@ -59,7 +58,7 @@ def test_kerr_matrix_examples():
 def test_axis_y_is_x_conjugate_of_axis_z():
     for tj in (2, 5, 8):
         j = HalfInteger(tj)
-        rx = x_rotation(j, math.pi / 2)
+        rx = x_rotation_dense(j, math.pi / 2)
         hz = kerr_hamiltonian(j, axis="z").matrix
         hy = kerr_hamiltonian(j, axis="y").matrix
         conj = rx.matrix @ hz @ rx.dagger().matrix
@@ -70,7 +69,7 @@ def test_x_conjugation_signs():
     # frozen convention: the x quarter turn maps Jz to -Jy, and Jz^2 to Jy^2
     for tj in (1, 2, 4, 7):
         j = HalfInteger(tj)
-        rx = x_rotation(j, math.pi / 2)
+        rx = x_rotation_dense(j, math.pi / 2)
         conj_z = rx.matrix @ jz(j).matrix @ rx.dagger().matrix
         assert np.linalg.norm(conj_z + jy(j).matrix) / j.dim < 1e-12
         conj_z2 = rx.matrix @ jz(j).matrix @ jz(j).matrix @ rx.dagger().matrix
@@ -82,7 +81,7 @@ def test_x_conjugation_signs():
 def test_conjugation_consistency_over_time(t):
     # omega = 0: conjugating the z evolution gives the y evolution at any t
     j = HalfInteger(6)
-    rx = x_rotation(j, math.pi / 2)
+    rx = x_rotation_dense(j, math.pi / 2)
     uz = expm_hermitian(kerr_hamiltonian(j, axis="z"), t)
     uy = expm_hermitian(kerr_hamiltonian(j, axis="y"), t)
     lhs = rx.matrix @ uz.matrix @ rx.dagger().matrix
@@ -116,36 +115,29 @@ def test_quarter_evolution_matches_dense_oracle(omega):
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
-@pytest.mark.parametrize("omega", [0.0, 0.7, -2.0, 2.0 / 3.0])
-def test_quarter_unitary_z_is_the_twist_phases(omega):
-    # The axis-z unitary is diagonal, its diagonal the phases the twist
-    # applies, and it agrees with the dense exponential of the Hamiltonian.
-    for s in _random_states(13):
-        u = quarter_period_unitary(s.j, omega).matrix
-        assert not np.any(u - np.diag(np.diag(u)))
-        assert np.array_equal(np.diag(u) * s.amplitudes, quarter_period_evolve(s, omega).amplitudes)
-        assert np.max(np.abs(u - quarter_period_unitary_dense(s.j, omega).matrix)) <= 1e-12
+# Every 2j <= 120 (past the 64 kept spectra) and every 37th up to 401.
+ROTATION_GRID = sorted(set(range(121)) | set(range(0, 402, 37)))
+ROTATION_ANGLES = [math.pi / 2, -math.pi / 2, 0.3, math.pi]
 
 
-def test_quarter_unitary_y_is_the_dense_exponential():
-    for tj in (2, 7, 30):
+def _rotate_matches(axis, angle, dense):
+    rng = np.random.default_rng(7)
+    for tj in ROTATION_GRID:
         j = HalfInteger(tj)
-        got = quarter_period_unitary(j, 0.7, "y").matrix
-        assert np.array_equal(got, quarter_period_unitary_dense(j, 0.7, "y").matrix)
-    with pytest.raises(ValueError):
-        quarter_period_unitary(HalfInteger(2), axis="x")
-    with pytest.raises(ZeroSpin):
-        quarter_period_unitary(HalfInteger(0))
+        v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+        s = SpinState(j, v / np.linalg.norm(v))
+        want = dense(j).apply(s).amplitudes
+        assert np.max(np.abs(rotate(s, axis, angle).amplitudes - want)) <= 1e-12, tj
 
 
-@pytest.mark.parametrize("angle", [math.pi / 2, -math.pi / 2, 0.3, math.pi])
+@pytest.mark.parametrize("angle", ROTATION_ANGLES)
 def test_x_rotation_matches_dense_oracle(angle):
-    # Every 2j <= 120 (past the 64 kept spectra) and every 37th up to 401.
-    for tj in sorted(set(range(121)) | set(range(0, 402, 37))):
-        j = HalfInteger(tj)
-        u = x_rotation(j, angle)
-        assert np.max(np.abs(u.matrix - x_rotation_dense(j, angle).matrix)) <= 1e-12, tj
-        assert u.unitarity_residual() <= 1e-12, tj
+    _rotate_matches("x", angle, lambda j: x_rotation_dense(j, angle))
+
+
+@pytest.mark.parametrize("angle", ROTATION_ANGLES)
+def test_y_rotation_matches_dense_oracle(angle):
+    _rotate_matches("y", angle, lambda j: expm_hermitian(jy(j), angle))
 
 
 def _random_states(seed):
@@ -179,8 +171,6 @@ def test_overflowing_twist_phase_is_refused(tj):
         quarter_period_evolve(s, 1e308)
     with pytest.raises(NonFinitePhase):
         quarter_period_evolve(s, -1e308)
-    with pytest.raises(NonFinitePhase):
-        quarter_period_unitary(s.j, 1e308)
 
 
 def test_quarter_evolution_spin_half_is_global_phase():
@@ -298,7 +288,8 @@ def test_cat_scan_integer_rows_hit_unity():
 
 
 def test_rotate_x_quarter_spin_half_matrix():
-    u = x_rotation(HalfInteger(1), math.pi / 2).matrix
+    j = HalfInteger(1)
+    u = np.column_stack([rotate(weight_state(j, tm), "x", math.pi / 2).amplitudes for tm in (-1, 1)])
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     assert np.allclose(u, [[c, -1j * s], [-1j * s, c]], atol=1e-15)
 
@@ -315,10 +306,10 @@ def test_rotated_identity_frozen_j1():
     # the final state, written in ascending m: e^{+i pi/4}, 0, e^{-i pi/4}
     # over sqrt(2), up to a global phase
     j = HalfInteger(2)
-    final = quarter_period_unitary(j, axis="y").apply(weight_state(j, 2))
     hand = np.array([np.exp(1j * math.pi / 4), 0.0, np.exp(-1j * math.pi / 4)]) / math.sqrt(2)
-    assert abs(np.vdot(hand, final.amplitudes)) > 1 - 1e-12
-    assert abs(np.vdot(rotated_cat_prediction(j).amplitudes, final.amplitudes)) > 1 - 1e-12
+    for final in _rotated_identity_routes(j, 0.0):
+        assert abs(np.vdot(hand, final.amplitudes)) > 1 - 1e-12
+        assert abs(np.vdot(rotated_cat_prediction(j).amplitudes, final.amplitudes)) > 1 - 1e-12
 
 
 def test_rotated_cat_prediction_matches_hand_set_amplitudes():
@@ -364,12 +355,9 @@ def test_rotated_identity_both_routes(jj):
 def test_rotated_identity_relative_phase_is_j_independent():
     # lowest over highest weight amplitude = e^{i pi/2} for every integer j
     for jj in (1, 2, 3, 6):
-        j = HalfInteger(2 * jj)
-        final = quarter_period_unitary(j, axis="y").apply(
-            weight_state(j, j.twice_value)
-        )
-        ratio = final.amplitudes[0] / final.amplitudes[-1]
-        assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-10)
+        for final in _rotated_identity_routes(HalfInteger(2 * jj), 0.0):
+            ratio = final.amplitudes[0] / final.amplitudes[-1]
+            assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-10)
 
 
 def test_verify_suite_makes_no_dense_exponential(monkeypatch):
@@ -388,8 +376,7 @@ def test_verify_suite_makes_no_dense_exponential(monkeypatch):
         calls.append(op.j.twice_value)
         build(op)
 
-    for module in (su2, dynamics):
-        monkeypatch.setattr(module, "expm_hermitian", counted)
+    monkeypatch.setattr(su2, "expm_hermitian", counted)
     monkeypatch.setattr(su2.SpinOperator, "__post_init__", built)
     run_suite(60)
     assert calls == []

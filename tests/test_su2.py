@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import chained_generators, commutator, identity
+from _oracles import chained_generators, commutator, identity, unitarity_residual
 from spincat import (
     HalfInteger,
     IrrepMismatch,
@@ -29,11 +29,10 @@ from spincat import (
     jz,
     make_noon,
     rotate,
-    rotation_operator,
     weight_state,
 )
 from spincat import su2
-from spincat.coherent import _sqrt_binomials
+from spincat.coherent import _rotated_lowest, _sqrt_binomials
 from spincat.su2 import _jx_eigensystem
 
 small_twice_j = st.integers(min_value=0, max_value=24)
@@ -217,7 +216,7 @@ def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
         calls = [
             lambda: rotate(state, "x", 0.83).amplitudes,
             lambda: rotate(state, "y", 0.83).amplitudes,
-            lambda: rotation_operator(j, gamma).matrix,
+            lambda: _rotated_lowest(j, [gamma]),
         ]
         cold = []
         for call in calls:
@@ -319,7 +318,7 @@ def test_expm_additive_in_time(a, b, c, t1, t2):
 def test_expm_unitary(tj, t):
     j = HalfInteger(tj)
     u = expm_hermitian(jy(j), t)
-    assert u.unitarity_residual() < 1e-12
+    assert unitarity_residual(u) < 1e-12
 
 
 def test_state_norm_gate_and_snap():

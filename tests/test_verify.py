@@ -11,22 +11,27 @@ from _oracles import (
     quarter_period_unitary_dense,
     rotation_operator_dense,
     schwinger_residual_dense,
+    sector_mode_operators,
 )
 from spincat import (
     HalfInteger,
     as_label,
-    rotation_operator,
     verify_schwinger_realization,
     weight_state,
 )
 from spincat import coherent, dynamics, schwinger, su2
 from spincat.coherent import _rotated_lowest
 from spincat.dynamics import _rotated_identity_routes
+from spincat import verify
+from spincat.dynamics import RotatedIdentityResult
 from spincat.verify import (
     _algebra_section,
+    _cat_section,
     _coherent_section,
     _jx_eigensystem_residual,
     _ladder_residuals,
+    _noon_section,
+    _noon_states,
     _rotated_section,
     _schwinger_section,
 )
@@ -175,7 +180,13 @@ def test_schwinger_residual_agrees_with_the_dense_oracle(monkeypatch, factor):
     monkeypatch.setattr(schwinger, "_sector_bands", scaled)
     for tj in range(61):
         j = HalfInteger(tj)
-        got, want = verify_schwinger_realization(j), schwinger_residual_dense(j)
+        # The oracle's sector comes from the occupations alone; scale the same entry there.
+        ops = sector_mode_operators(tj)
+        if tj:
+            k = (tj // 2) % tj
+            ops["adag_b"][k + 1, k] *= factor
+            ops["a_bdag"][k, k + 1] *= factor
+        got, want = verify_schwinger_realization(j), schwinger_residual_dense(j, ops)
         # Uncorrupted, both sit under the 1e-12 contract; the dense J^2 rounds more.
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12), tj
 
@@ -187,7 +198,6 @@ def test_rotated_lowest_is_column_0_of_rotation_operator():
         labels = [as_label(g) for g in rng.uniform(0.1, 2.5, 7) * np.exp(2j * math.pi * rng.uniform(size=7))]
         built = _rotated_lowest(j, labels)
         for column, label in zip(built.T, labels):
-            assert np.max(np.abs(column - rotation_operator(j, label).matrix[:, 0])) <= 1e-14
             assert np.max(np.abs(column - rotation_operator_dense(j, label).matrix[:, 0])) <= 1e-12
 
 
@@ -200,3 +210,47 @@ def test_rotated_identity_routes_match_the_dense_oracle():
             for route in _rotated_identity_routes(j, omega):
                 assert np.max(np.abs(route.amplitudes - want)) <= 1e-12, (jj, omega)
 
+
+
+def _fidelity_check(section):
+    (check,) = [r for r in section() if r.name.startswith(("fidelity", "both routes"))]
+    return check
+
+
+# (the name verify reads a fidelity through, a fake returning fidelity f, the section)
+FIDELITY_CHECKS = [
+    pytest.param(
+        "_cat_fidelity",
+        lambda f: lambda evolved, g: f,
+        lambda: _cat_section(np.random.default_rng(1), MAX_TJ),
+        id="cat",
+    ),
+    pytest.param(
+        "verify_rotated_identity",
+        lambda f: lambda j, omega: RotatedIdentityResult(f, 1.0, 1.0),
+        lambda: _rotated_section(MAX_TJ),
+        id="rotated",
+    ),
+    pytest.param(
+        "noon_fidelity",
+        lambda f: lambda out: (f, 0.0),
+        lambda: _noon_section(MAX_TJ, _noon_states(MAX_TJ)),
+        id="noon",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fid,shown",
+    [
+        pytest.param(1.0 - 2e-10, "worst 2.000e-10 (<= 1.0e-10)", id="deficit-2e-10"),
+        pytest.param(math.nan, "worst nan (<= 1.0e-10)", id="nan"),
+    ],
+)
+@pytest.mark.parametrize("name,fake,section", FIDELITY_CHECKS)
+def test_a_fidelity_check_fails_and_shows_the_deficit(monkeypatch, name, fake, section, fid, shown):
+    assert _fidelity_check(section).passed
+    monkeypatch.setattr(verify, name, fake(fid))
+    check = _fidelity_check(section)
+    assert not check.passed
+    assert check.detail == shown
