@@ -46,15 +46,12 @@ from .coherent import (
 )
 from .dynamics import (
     CatScanRow,
-    RotatedIdentityResult,
     cat_scan,
     fit_two_component,
     kerr_hamiltonian,
     predicted_cat,
     quarter_period_evolve,
     rotated_cat_prediction,
-    verify_cat_identity,
-    verify_rotated_identity,
 )
 from .schwinger import (
     NoonState,

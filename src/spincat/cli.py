@@ -69,8 +69,13 @@ def parse_complex(text: str) -> complex:
     return value
 
 
+# The longest complex128 array numpy can describe: allocating it raises
+# MemoryError, a usage error, and one element more raises ValueError.
+_MAX_LENGTH = np.iinfo(np.intp).max // np.dtype(np.complex128).itemsize
+
+
 def _int_at_least(lo: int):
-    """argparse type: an integer >= lo."""
+    """argparse type: an integer >= lo, and with size + 1 <= _MAX_LENGTH (2j, N and grid sizes)."""
 
     def parse(text: str) -> int:
         try:
@@ -79,6 +84,8 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if value + 1 > _MAX_LENGTH:
+            raise argparse.ArgumentTypeError(f"must be < {_MAX_LENGTH}, got {value}")
         return value
 
     return parse

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel
 from .halfint import HalfInteger, m_values
-from .su2 import SpinState, _jx_eigensystem, _ladder, _per_twice_j
+from .su2 import SpinState, _apply_function, _ladder, _per_twice_j
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
 
 
 def _rotation_parameters(j: HalfInteger, label: SpinorLabel) -> tuple[float, np.ndarray]:
-    """(theta, r) of the rotation I + R V (e^{i theta w} - 1) V^T R^dag, R = diag(r), in `_rotated_lowest`.
+    """(theta, r) of the rotation I + R (e^{i theta Jx} - 1) R^dag, R = diag(r), in `_rotated_lowest`.
 
     Raises PoleLabel at the pole, where phi is not unique.
     """
@@ -222,21 +222,20 @@ def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
     exp{ (theta/2) (e^{i phi} J+ - e^{-i phi} J-) }, its ladder phase fixed
     so the column matches `coherent_expansion` entry by entry, not just up
     to phase.  Its generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with
-    R = exp(-i (pi/2 - phi) Jz) = diag(r), so with (w, V) Jx's real
-    eigensystem the unitary is I + R V (e^{i theta w} - 1) V^T R^dag, and
-    its column 0 is e_0 + r (V ((e^{i theta w} - 1) V[0]^T)) conj(r_0).  The
-    d x n matrix of those middle vectors takes one real product with V, so
-    no d x d complex matrix is formed for any label.
+    R = exp(-i (pi/2 - phi) Jz) = diag(r), so the unitary is
+    I + R (e^{i theta Jx} - 1) R^dag, and its column 0 is
+    e_0 + r ((e^{i theta Jx} - 1) e_0) conj(r_0).  `_apply_function` takes
+    every label's e^{i theta w} - 1 as one d x n matrix, so one real product
+    with Jx's eigenvectors serves them all.
 
     A label whose u carries a phase gets the column of its gamma, that
     label's state up to a global phase.  Raises PoleLabel at the pole, where
     phi is not unique; `coherent_expansion` builds that state directly.
     """
-    w, v = _jx_eigensystem(j.twice_value)
     thetas, rs = zip(*(_rotation_parameters(j, as_label(g)) for g in labels))
     r = np.column_stack(rs)
-    middle = np.expm1(1j * np.outer(w, thetas)) * v[0][:, None] * r[0].conj()
-    out = r * (v @ middle.real + 1j * (v @ middle.imag))
+    lowest = np.eye(j.dim, 1)  # |j,-j>_z as a column
+    out = r * _apply_function(j, "x", lambda w: np.expm1(1j * np.outer(w, thetas)) * r[0].conj(), lowest)
     out[0] += 1.0
     return out
 

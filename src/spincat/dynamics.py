@@ -18,10 +18,10 @@ instead); `cat_scan` measures that case rather than asserting it.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
 multiplies amplitudes by phases and builds no d x d complex unitary.
-`verify_rotated_identity`'s two routes apply the y twist in Jy's
-eigenbasis D V and conjugate the diagonal twist by the pi/2 x rotation,
-both as products with Jx's eigenvectors V.  `kerr_hamiltonian` is the dense
-Hamiltonian; the tests exponentiate it as the reference for both.
+`_rotated_identity_routes` applies the y twist as a function of Jy and
+conjugates the diagonal twist by the pi/2 x rotation, both through
+`su2._apply_function`.  `kerr_hamiltonian` is the dense Hamiltonian; the
+tests exponentiate it as the reference for both.
 """
 from __future__ import annotations
 
@@ -33,9 +33,7 @@ import numpy as np
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
 from .halfint import HalfInteger, m_values
-from .su2 import _MINUS_I_POWERS, SpinOperator, SpinState, _jx_eigensystem, jy, jz, rotate, weight_state
-
-_OMEGA_GATE_TOL = 1e-9
+from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
 
 
 def _quarter_period(j: HalfInteger) -> float:
@@ -54,15 +52,12 @@ def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> Spi
     return SpinOperator(j, omega * gen + (1.0 / j.twice_value) * gen @ gen)
 
 
-def _quarter_phases(j: HalfInteger, omega: float, m=None) -> np.ndarray:
+def _quarter_phases(j: HalfInteger, omega: float, m: np.ndarray) -> np.ndarray:
     """exp(-i h tau/4), h = omega m + m^2 / 2j, over the eigenvalues m of J_a.
 
-    By default m = -j..j, and this is the axis-z quarter twist's diagonal.
     An omega so large that this phase overflows raises `NonFinitePhase`.
     """
     quarter = _quarter_period(j)
-    if m is None:
-        m = m_values(j)
     with np.errstate(over="ignore", invalid="ignore"):
         h = omega * m + (1.0 / j.twice_value) * (m * m)
         phase = -1j * h * quarter
@@ -77,17 +72,7 @@ def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
     The evolution is diagonal, so its phases multiply the amplitudes
     elementwise; an overflowing phase raises `NonFinitePhase`.
     """
-    return SpinState(state.j, _quarter_phases(state.j, omega) * state.amplitudes)
-
-
-def _require_cleared_linear_phase(j: HalfInteger, omega: float):
-    """The two-component identities need omega * tau/4 = 0 (mod 2pi)."""
-    residue = math.remainder(omega * _quarter_period(j), 2.0 * math.pi)
-    if abs(residue) > _OMEGA_GATE_TOL:
-        raise ValueError(
-            f"omega={omega} leaves linear phase {residue:.3e} (mod 2pi); "
-            "the cat identity only holds when it clears"
-        )
+    return SpinState(state.j, _quarter_phases(state.j, omega, m_values(state.j)) * state.amplitudes)
 
 
 def _require_integer(j: HalfInteger):
@@ -110,16 +95,6 @@ def predicted_cat(j: HalfInteger, gamma) -> CatDecomposition:
             (label.negated(), sign * inv_sqrt2 * np.exp(1j * math.pi / 4.0)),
         ),
     )
-
-
-def verify_cat_identity(j: HalfInteger, gamma, omega: float = 0.0) -> float:
-    """Fidelity of the quarter-period state against `predicted_cat`.
-
-    Contract: >= 1 - 1e-10 for integer j whenever the omega gate passes.
-    """
-    _require_integer(j)
-    _require_cleared_linear_phase(j, omega)
-    return _cat_fidelity(quarter_period_evolve(coherent_expansion(j, gamma), omega), gamma)
 
 
 def _cat_fidelity(evolved: SpinState, gamma) -> float:
@@ -184,53 +159,17 @@ def rotated_cat_prediction(j: HalfInteger) -> SpinState:
     return CatDecomposition(j, back).materialize()
 
 
-@dataclass(frozen=True)
-class RotatedIdentityResult:
-    """Fidelities for the two computation routes of the rotated-frame identity."""
-
-    fidelity: float  # direct y-axis Hamiltonian route vs prediction
-    conjugated_fidelity: float  # x-rotation conjugation route vs prediction
-    path_agreement: float  # fidelity between the two final states
-
-
 def _rotated_identity_routes(j: HalfInteger, omega: float) -> tuple[SpinState, SpinState]:
     """The quarter-period y-twist of |j,j>_z, (directly, by conjugation).
 
-    Directly: Jy = D Jx D^dag with D = diag((-i)^k), as in `rotate`, so the
-    y-axis Hamiltonian has eigenvectors D V and eigenvalues
-    omega w + w^2 / 2j, (w, V) Jx's eigensystem, and the state is
-    D V e^{-i tau/4 (omega w + w^2/2j)} V^T D^dag |j,j>.  By conjugation: the
-    diagonal z-axis twist between the pi/2 x rotation and its inverse.
-    Both are O(d^2) products with V; neither exponentiates a matrix.  The
-    rotation takes Jz to -Jy, so the second route twists with -omega; the
-    two agree once the linear phase clears.
+    Directly: omega Jy + Jy^2 / 2j is a function of Jy, so `_apply_function`
+    applies its phases on Jx's eigenvalues w.  By conjugation: the diagonal
+    z-axis twist between the pi/2 x rotation and its inverse.  Neither
+    exponentiates a matrix.  The rotation takes Jz to -Jy, so the second
+    route twists with -omega; the two agree once the linear phase clears.
     """
-    w, v = _jx_eigensystem(j.twice_value)
-    d = _MINUS_I_POWERS[np.arange(j.dim) % 4]
-    # V^T D^dag |j,j> is the last row of V times conj(D)'s last entry.
-    c = _quarter_phases(j, omega, w) * v[-1] * d[-1].conjugate()
-    direct = SpinState(j, d * (v @ c.real + 1j * (v @ c.imag)))
-
-    turned = rotate(weight_state(j, j.twice_value), "x", -math.pi / 2.0)
+    top = weight_state(j, j.twice_value)
+    direct = SpinState(j, _apply_function(j, "y", lambda w: _quarter_phases(j, omega, w), top.amplitudes))
+    turned = rotate(top, "x", -math.pi / 2.0)
     conjugated = rotate(quarter_period_evolve(turned, omega), "x", math.pi / 2.0)
     return direct, conjugated
-
-
-def verify_rotated_identity(j: HalfInteger, omega: float = 0.0) -> RotatedIdentityResult:
-    """Drive |j,j>_z with the y-axis twist, both directly and by conjugation.
-
-    Route one applies omega * Jy + Jy^2 / 2j in Jy's eigenbasis; route two
-    conjugates the diagonal z-axis evolution with the pi/2 x rotation
-    (`_rotated_identity_routes`).  Both are compared to
-    `rotated_cat_prediction`; contract: all three fidelities >= 1 - 1e-10
-    for integer j when the omega gate passes.
-    """
-    _require_integer(j)
-    _require_cleared_linear_phase(j, omega)
-    direct, conjugated = _rotated_identity_routes(j, omega)
-    target = rotated_cat_prediction(j)
-    return RotatedIdentityResult(
-        fidelity=abs(overlap(target, direct)),
-        conjugated_fidelity=abs(overlap(target, conjugated)),
-        path_agreement=abs(overlap(direct, conjugated)),
-    )

@@ -74,8 +74,6 @@ def _sector_bands(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The last array, over n_a = 0..N-1, is a^dag b's band below the diagonal:
     its entry for n_a -> n_a + 1.
     """
-    if n_total < 0:
-        raise ValueError("n_total must be >= 0")
     n_a = np.arange(n_total + 1, dtype=float)
     n_b = n_total - n_a
     return n_a, n_b, np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])

@@ -1,8 +1,10 @@
 """Angular-momentum matrices and rotations for a single spin-j representation.
 
-`rotate` turns a state about the x or y axis without building a d x d
-complex unitary: it diagonalizes the real tridiagonal Jx and applies phases
-in that eigenbasis.  The generator matrices and `expm_hermitian`, which
+`_apply_function` applies a function of Jx or Jy to a state without
+building a d x d complex matrix: it takes the values of the function on the
+eigenvalues of the real tridiagonal Jx, in that eigenbasis.  It is the one
+reader of Jx's eigenvectors: `rotate`, the coherent rotation and the y twist
+all go through it.  The generator matrices and `expm_hermitian`, which
 exponentiates any Hermitian generator by dense eigendecomposition, are the
 dense reference the state kernels are tested against; nothing in the
 pipeline calls them.
@@ -246,25 +248,28 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
 _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
-    """exp(-i angle J_axis) |state> for axis 'x' or 'y'.
+def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
+    """f(J_axis) psi for axis 'x' or 'y', the one reader of Jx's eigensystem.
 
-    Uses the eigensystem (w, V) of the real tridiagonal Jx and returns
-    V (e^{-i angle w} * (V^T psi)); the y rotation conjugates it with
-    D = diag((-i)^k), exactly.  No d x d complex matrix is formed.
+    With (w, V) Jx's real eigensystem this is V (f(w) * (V^T psi)); for y it
+    is conjugated by D = diag((-i)^k), exactly.  `f` maps w to a vector or
+    a d x n matrix of values, and `psi` is a vector or a d x 1 column, so n
+    functions of one state come out as the n columns of one product.  No
+    d x d complex matrix is formed.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    j = state.j
     w, v = _jx_eigensystem(j.twice_value)
-    psi = state.amplitudes
     if axis == "y":
-        d = _MINUS_I_POWERS[np.arange(j.dim) % 4]
+        d = _MINUS_I_POWERS[np.arange(j.dim) % 4].reshape((-1,) + (1,) * (np.ndim(psi) - 1))
         psi = d.conj() * psi
     # Real and imaginary parts separately: a real V never turns into a
     # complex d x d copy.
-    c = np.exp(-1j * angle * w) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
+    c = f(w) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
     out = v @ c.real + 1j * (v @ c.imag)
-    if axis == "y":
-        out = d * out
-    return SpinState(j, out)
+    return d * out if axis == "y" else out
+
+
+def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
+    """exp(-i angle J_axis) |state> for axis 'x' or 'y', by `_apply_function`."""
+    return SpinState(state.j, _apply_function(state.j, axis, lambda w: np.exp(-1j * angle * w), state.amplitudes))

@@ -9,8 +9,9 @@ The checks read the structures the pipeline runs on, not dense products of
 them: the algebra from J+'s band (`su2._ladder`) and the weights m in O(d),
 Jx's kept eigensystem (`su2._jx_eigensystem`) by Jx V = V diag(w) with Jx
 applied as its band in O(d^2), the Fock sector from its own band.  The
-rotated identity and the coherent rotation are products with V, so no
-check exponentiates a matrix or forms a d x d complex product.
+coherent rotation and the rotated identity, which only this module checks,
+are products with V (`su2._apply_function`), so no check exponentiates a
+matrix or forms a d x d complex product.
 """
 from __future__ import annotations
 
@@ -25,11 +26,12 @@ from .coherent import (
     as_label,
     bloch_direction,
     coherent_expansion,
+    fidelity,
     mean_spin,
     stereographic,
     BlochDirection,
 )
-from .dynamics import _cat_fidelity, fit_two_component, quarter_period_evolve, verify_rotated_identity
+from .dynamics import _cat_fidelity, _rotated_identity_routes, fit_two_component, quarter_period_evolve, rotated_cat_prediction
 from .halfint import HalfInteger, m_values
 from .metrology import noon_signal, phase_uncertainty, quantum_fisher_information
 from .schwinger import (
@@ -197,8 +199,10 @@ def _rotated_section(max_twice_j: int):
     limit = min(30, max_twice_j // 2)
     deficits = []
     for jj in range(1, limit + 1):
-        res = verify_rotated_identity(HalfInteger(2 * jj), omega=0.0)
-        deficits.extend(1.0 - f for f in (res.fidelity, res.conjugated_fidelity, res.path_agreement))
+        j = HalfInteger(2 * jj)
+        direct, conjugated = _rotated_identity_routes(j, 0.0)
+        target = rotated_cat_prediction(j)
+        deficits.extend(1.0 - fidelity(a, b) for a, b in ((target, direct), (target, conjugated), (direct, conjugated)))
     yield _bound("rotated-identity", f"both routes vs prediction, j<={limit}", deficits, 1e-10)
 
 

@@ -1,5 +1,5 @@
 """The CI workflow parses, runs ROADMAP's tier-1 command word for word, then
-the verify-suite benchmark under its tracer and the installed `spincat
+every benchmark workload under its tracer and the installed `spincat
 verify` entry point; and the pytest configuration lets a failing property
 test be reported without ending the session.
 
@@ -27,8 +27,13 @@ def test_workflow_runs_the_tier_1_command():
     assert steps["tier-1"]["run"] == tier_1
     names = [step.get("name") for step in job["steps"]]
     # The tracer rebinds the package's functions by name; only a real run shows it still can.
-    assert names.index("perfbench") > names.index("tier-1")
-    assert steps["perfbench"]["run"] == "python3 perfbench/run.py --workload verify-suite --seed 7 --seconds 2 --trace 1"
+    for step, workload in [
+        ("perfbench", "verify-suite"),
+        ("perfbench noon-large", "noon-large"),
+        ("perfbench cli-export", "cli-export"),
+    ]:
+        assert names.index(step) > names.index("tier-1")
+        assert steps[step]["run"] == f"python3 perfbench/run.py --workload {workload} --seed 7 --seconds 2 --trace 1"
     # Tier-1 calls cli.main in-process; only this step runs the console script.
     assert names.index("verify") > names.index("tier-1")
     assert steps["verify"]["run"].split()[:2] == ["spincat", "verify"]

@@ -385,6 +385,26 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("metrology", "--n-list", "1000000000000000000"),
+        ("metrology", "--n-list", "100000000000000000000000"),
+        ("husimi", "--in", "{dir}/c.json", "--n-theta", "100000000000000000000", "--n-phi", "1"),
+        ("noon", "--n", "100000000000000000000000", "--out", "{dir}/n.json"),
+    ],
+)
+def test_sizes_numpy_cannot_describe_are_usage_errors(tmp_path, capsys, argv):
+    # Past the longest complex array numpy can describe, numpy raises
+    # ValueError rather than MemoryError, and exact binomials never finish;
+    # the size is refused before anything runs.
+    save_state(coherent_expansion(HalfInteger(4), 1j), tmp_path / "c.json")
+    rc, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (rc, out) == (2, "")
+    assert "Traceback" not in err
+    assert f"must be < {cli._MAX_LENGTH}" in err
+
+
 def test_usage_error_on_unknown_command(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 2

@@ -30,12 +30,10 @@ from spincat import (
     rotate,
     rotate_label,
     rotated_cat_prediction,
-    verify_cat_identity,
-    verify_rotated_identity,
     weight_state,
 )
-from spincat import dynamics, su2
-from spincat.dynamics import _rotated_identity_routes
+from spincat import su2
+from spincat.dynamics import _cat_fidelity, _rotated_identity_routes
 from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
@@ -203,26 +201,16 @@ def test_predicted_cat_coefficients():
     [(2, 1j, 1e-12), (14, 1j, 1e-10), (24, 0.3 + 0.4j, 1e-10), (8, 1.0, 1e-10)],
 )
 def test_cat_identity_fidelity(tj, g, tol):
-    assert verify_cat_identity(HalfInteger(tj), g, omega=0.0) >= 1 - tol
-
-
-def test_cat_fidelity_of_an_evolved_state_is_the_identity_check():
-    # verify evolves each (j, gamma) once and reads this fidelity from it.
-    for jj in (1, 4, 15, 30):
-        j = HalfInteger(2 * jj)
-        for g in (1j, 1.0, 0.3 - 1.7j):
-            evolved = quarter_period_evolve(coherent_expansion(j, g))
-            assert dynamics._cat_fidelity(evolved, g) == verify_cat_identity(j, g)
+    assert _cat_fidelity(quarter_period_evolve(coherent_expansion(HalfInteger(tj), g)), g) >= 1 - tol
 
 
 def test_cat_identity_gate():
     with pytest.raises(HalfIntegerUnsupported):
-        verify_cat_identity(HalfInteger(3), 1j)
-    with pytest.raises(ValueError):
-        verify_cat_identity(HalfInteger(6), 1j, omega=0.1)
-    # omega clearing the linear phase is accepted: j=3, omega=2/3 gives
-    # omega * tau/4 = 2 pi exactly
-    assert verify_cat_identity(HalfInteger(6), 1j, omega=2.0 / 3.0) >= 1 - 1e-10
+        _cat_fidelity(quarter_period_evolve(coherent_expansion(HalfInteger(3), 1j)), 1j)
+    # The identity holds wherever the linear phase clears: j=3, omega=2/3
+    # gives omega * tau/4 = 2 pi exactly
+    evolved = quarter_period_evolve(coherent_expansion(HalfInteger(6), 1j), 2.0 / 3.0)
+    assert _cat_fidelity(evolved, 1j) >= 1 - 1e-10
 
 
 def test_cat_relative_phase():
@@ -346,10 +334,12 @@ def test_quarter_twist_of_the_pole_is_its_predicted_cat():
 
 @pytest.mark.parametrize("jj", [1, 2, 3, 7, 15])
 def test_rotated_identity_both_routes(jj):
-    res = verify_rotated_identity(HalfInteger(2 * jj), omega=0.0)
-    assert res.fidelity >= 1 - 1e-10
-    assert res.conjugated_fidelity >= 1 - 1e-10
-    assert res.path_agreement >= 1 - 1e-10
+    j = HalfInteger(2 * jj)
+    direct, conjugated = _rotated_identity_routes(j, 0.0)
+    target = rotated_cat_prediction(j)
+    assert fidelity(target, direct) >= 1 - 1e-10
+    assert fidelity(target, conjugated) >= 1 - 1e-10
+    assert fidelity(direct, conjugated) >= 1 - 1e-10
 
 
 def test_rotated_identity_relative_phase_is_j_independent():
@@ -384,8 +374,7 @@ def test_verify_suite_makes_no_dense_exponential(monkeypatch):
 
 def test_rotated_identity_gates():
     with pytest.raises(HalfIntegerUnsupported):
-        verify_rotated_identity(HalfInteger(3))
-    with pytest.raises(ValueError):
-        verify_rotated_identity(HalfInteger(4), omega=0.3)
-    res = verify_rotated_identity(HalfInteger(6), omega=2.0 / 3.0)
-    assert res.fidelity >= 1 - 1e-10
+        rotated_cat_prediction(HalfInteger(3))
+    j = HalfInteger(6)
+    direct, _ = _rotated_identity_routes(j, 2.0 / 3.0)
+    assert fidelity(rotated_cat_prediction(j), direct) >= 1 - 1e-10

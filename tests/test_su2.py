@@ -416,6 +416,22 @@ def test_rotate_matches_dense_oracle(axis):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_a_column_of_functions_is_one_rotation_per_column(axis):
+    # A d x 1 state and a d x n matrix of values give n columns, each the
+    # vector route's result, on both sides of the kept 2j = 64.
+    rng = np.random.default_rng(5)
+    angles = np.array([math.pi / 2, 0.37, -1.3])
+    for tj in (0, 7, 64, 65):
+        j = HalfInteger(tj)
+        v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+        s = SpinState(j, v / np.linalg.norm(v))
+        columns = su2._apply_function(j, axis, lambda w: np.exp(-1j * np.outer(w, angles)), s.amplitudes[:, None])
+        assert columns.shape == (j.dim, angles.size)
+        for column, angle in zip(columns.T, angles):
+            assert np.max(np.abs(column - rotate(s, axis, angle).amplitudes)) <= 1e-14
+
+
 def test_rotate_rejects_other_axes():
     with pytest.raises(ValueError):
         rotate(weight_state(HalfInteger(2), 0), "z", 1.0)
