@@ -6,6 +6,11 @@ human-readable logs go to stderr (ANSI styling only on a tty and when
 NO_COLOR is unset).  CSV-producing commands write to --out when given,
 otherwise stream the CSV to stdout.  This is the one module that formats
 output: the library returns data, and every table is written here.
+
+Commands raise; `main` alone turns an exception into an exit code and one
+stderr line: a state-file or other I/O failure is 3, any other refusal the
+library raises on purpose (`SpinCatError`) or a size that cannot be
+allocated is 2.  The library, not the CLI, decides which inputs it refuses.
 """
 from __future__ import annotations
 
@@ -123,15 +128,6 @@ def _resolve_label(parser, args) -> SpinorLabel:
         parser.error(str(exc))
 
 
-def _save(state, path, metadata) -> int:
-    try:
-        save_state(state, path, metadata)
-    except OSError as exc:
-        _eprint(f"cannot write {path}: {exc}")
-        return EXIT_IO
-    return EXIT_OK
-
-
 def _csv_lines(header, columns):
     """CSV text of equal-length columns under `header`, one string per block.
 
@@ -159,12 +155,8 @@ def _write_csv(header, columns, out_path, summary: dict) -> int:
     if out_path is None:
         sys.stdout.writelines(lines)
         return EXIT_OK
-    try:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        _eprint(f"cannot write {out_path}: {exc}")
-        return EXIT_IO
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        fh.writelines(lines)
     _emit({**summary, "path": str(out_path)})
     return EXIT_OK
 
@@ -173,43 +165,34 @@ def cmd_coherent(parser, args) -> int:
     label = _resolve_label(parser, args)
     j = HalfInteger(args.twice_j)
     state = coherent_expansion(j, label)
-    meta = {"kind": "coherent", "twice_j": str(j.twice_value), "label": repr(label.gamma)}
-    rc = _save(state, args.out, meta)
-    if rc == EXIT_OK:
-        _emit({"twice_j": j.twice_value, "dim": j.dim, "path": str(args.out)})
-    return rc
+    save_state(state, args.out, {"kind": "coherent", "twice_j": str(j.twice_value), "label": repr(label.gamma)})
+    _emit({"twice_j": j.twice_value, "dim": j.dim, "path": str(args.out)})
+    return EXIT_OK
 
 
 def cmd_cat(parser, args) -> int:
     label = _resolve_label(parser, args)
-    if label.u_abs * label.v_abs == 0:
-        parser.error("the cat construction needs a finite nonzero gamma")
     j = HalfInteger(args.twice_j)
     evolved = quarter_period_evolve(coherent_expansion(j, label), args.omega)
     fid, c_plus, c_minus = fit_two_component(evolved, label)
-    meta = {"kind": "quarter-period-cat", "omega": repr(args.omega), "gamma": repr(label.gamma)}
-    rc = _save(evolved, args.out, meta)
-    if rc == EXIT_OK:
-        _emit(
-            {
-                "twice_j": j.twice_value,
-                "omega": args.omega,
-                "two_component_fidelity": fid,
-                "coeff_plus": [c_plus.real, c_plus.imag],
-                "coeff_minus": [c_minus.real, c_minus.imag],
-                "path": str(args.out),
-            }
-        )
-    return rc
+    save_state(evolved, args.out, {"kind": "quarter-period-cat", "omega": repr(args.omega), "gamma": repr(label.gamma)})
+    _emit(
+        {
+            "twice_j": j.twice_value,
+            "omega": args.omega,
+            "two_component_fidelity": fid,
+            "coeff_plus": [c_plus.real, c_plus.imag],
+            "coeff_minus": [c_minus.real, c_minus.imag],
+            "path": str(args.out),
+        }
+    )
+    return EXIT_OK
 
 
 def cmd_noon(parser, args) -> int:
     state = make_noon(args.n, omega=args.omega, gamma_choice=args.gamma_choice)
     fid, best_phi = noon_fidelity(state)
-    meta = {"kind": "noon-pipeline", "n": str(args.n), "gamma_choice": args.gamma_choice}
-    rc = _save(state, args.out, meta)
-    if rc != EXIT_OK:
-        return rc
+    save_state(state, args.out, {"kind": "noon-pipeline", "n": str(args.n), "gamma_choice": args.gamma_choice})
     _emit(
         {
             "n": args.n,
@@ -226,11 +209,7 @@ def cmd_noon(parser, args) -> int:
 
 
 def cmd_husimi(parser, args) -> int:
-    try:
-        state = load_spin_state(args.input)
-    except StateFileError as exc:
-        _eprint(f"bad input state: {exc}")
-        return EXIT_IO
+    state = load_spin_state(args.input)
     thetas, phis, grid = husimi_grid(state, args.n_theta, args.n_phi)
     return _write_csv(
         ("theta", "phi", "q"),
@@ -241,8 +220,6 @@ def cmd_husimi(parser, args) -> int:
 
 
 def cmd_scan(parser, args) -> int:
-    if args.gamma == 0 or math.isinf(abs(args.gamma)):
-        parser.error("the cat scan needs a finite nonzero gamma")
     rows = cat_scan([HalfInteger(tj) for tj in args.twice_j_list], args.omega, gamma=args.gamma)
     plus = np.array([r.coeff_plus for r in rows], dtype=complex)
     minus = np.array([r.coeff_minus for r in rows], dtype=complex)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
-from .errors import HalfIntegerUnsupported, NonFinitePhase, ZeroSpin
+from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
 
@@ -108,10 +108,12 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     Returns (fidelity, c_plus, c_minus) where fidelity is the norm of the
     orthogonal projection of `state` onto the span.  Independent of the
     prediction route: nothing here assumes how `state` was produced.
+    Raises `PoleLabel` for gamma = 0 or infinity, where gamma and -gamma are
+    one state.
     """
     label = as_label(gamma)
     if label.u_abs * label.v_abs == 0:
-        raise ValueError("need a label off the poles so the two components differ")
+        raise PoleLabel("need a label off the poles so the two components differ")
     # |-v| = |v|, so both components share one `_binomial_weights` row; each
     # column is a SpinState's, as `coherent_expansion` gives it.
     radial = _binomial_weights(state.j.twice_value, label.u_abs, label.v_abs)

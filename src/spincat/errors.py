@@ -14,7 +14,12 @@ class IrrepMismatch(SpinCatError):
 
 
 class PoleLabel(SpinCatError):
-    """The operation needs a finite stereographic label but got the pole."""
+    """The operation needs a label off a pole but got gamma = 0 or infinity.
+
+    Which pole is refused depends on the operation: the rotation from
+    |j,-j> needs a finite gamma, and a cat of |gamma> and |-gamma> needs
+    both poles excluded, since at either one the two are the same state.
+    """
 
 
 class ZeroSpin(SpinCatError):

@@ -83,12 +83,27 @@ def test_coherent_argument_conflicts(tmp_path, capsys):
     assert rc == 2
 
 
-def test_coherent_write_failure_is_io_error(tmp_path, capsys):
-    rc, _, err = run(
-        capsys, "coherent", "--twice-j", "2", "--gamma", "1",
-        "--out", str(tmp_path / "missing" / "c.json"),
-    )
-    assert rc == 3
+WRITERS = {
+    # save_state
+    "coherent": ("coherent", "--twice-j", "2", "--gamma", "1"),
+    "cat": ("cat", "--twice-j", "4", "--gamma", "0+1i"),
+    "noon": ("noon", "--n", "4"),
+    # _write_csv
+    "husimi": ("husimi", "--in", "{dir}/c.json", "--n-theta", "3", "--n-phi", "2"),
+    "scan": ("scan", "--twice-j-list", "2"),
+    "metrology": ("metrology", "--n-list", "1,2"),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_failure_is_io_error(tmp_path, capsys, writer):
+    # Every writer lets the OSError reach main, which alone maps it to exit 3.
+    save_state(coherent_expansion(HalfInteger(4), 1j), tmp_path / "c.json")
+    argv = [a.format(dir=tmp_path) for a in WRITERS[writer]]
+    rc, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "o.dat"))
+    assert (rc, out) == (3, "")
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_cat_reports_two_component_fit(tmp_path, capsys):
@@ -376,6 +391,9 @@ def test_parser_is_reused_across_calls(capsys, monkeypatch):
         ("cat", "--twice-j", "2", "--gamma", "1", "--omega", "1e308", "--out", "{dir}/o.json"),
         ("noon", "--n", "4", "--omega", "1e308", "--out", "{dir}/o.json"),
         ("scan", "--twice-j-list", "2", "--omega", "1e308"),
+        ("cat", "--twice-j", "4", "--gamma=0", "--out", "{dir}/o.json"),
+        ("cat", "--twice-j", "4", "--gamma", "inf", "--out", "{dir}/o.json"),
+        ("scan", "--twice-j-list", "2", "--gamma=0"),
     ],
 )
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
@@ -383,6 +401,19 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     rc, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert rc == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gamma", ["0", "inf"])
+def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, gamma):
+    # fit_two_component refuses the label; the CLI has no rule of its own.
+    for argv in (("cat", "--twice-j", "4", "--out", str(tmp_path / "o.json")), ("scan", "--twice-j-list", "2")):
+        rc, out, err = run(capsys, *argv, f"--gamma={gamma}")
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: need a label off the poles") and err.count("\n") == 1
+    assert not (tmp_path / "o.json").exists()
+    # No row needs the fit, so an empty scan writes its header and succeeds.
+    rc, out, _ = run(capsys, "scan", "--twice-j-list", ",", f"--gamma={gamma}")
+    assert (rc, out) == (0, "twice_j,omega,fidelity,coeff_plus_re,coeff_plus_im,coeff_minus_re,coeff_minus_im\n")
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from spincat import (
     HalfInteger,
     HalfIntegerUnsupported,
     NonFinitePhase,
+    PoleLabel,
     SpinState,
     ZeroSpin,
     cat_scan,
@@ -241,8 +242,9 @@ def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
 
 def test_fit_two_component_rejects_degenerate_labels():
     s = weight_state(HalfInteger(2), 0)
-    with pytest.raises(ValueError):
-        fit_two_component(s, 0.0)
+    for pole in (0.0, math.inf):
+        with pytest.raises(PoleLabel):
+            fit_two_component(s, pole)
 
 
 def test_cat_scan_half_integer_rows():
