@@ -2,7 +2,8 @@
 
 `_apply_function` applies a function of Jx or Jy to a state without
 building a d x d complex matrix: it takes the values of the function on the
-eigenvalues of the real tridiagonal Jx, in that eigenbasis.  It is the one
+eigenvalues of the real tridiagonal Jx, exactly the weights m, in that
+eigenbasis.  It is the one
 reader of Jx's eigenvectors: `rotate`, the coherent rotation and the y twist
 all go through it.  The generator matrices and `expm_hermitian`, which
 exponentiates any Hermitian generator by dense eigendecomposition, are the
@@ -186,9 +187,14 @@ def _per_twice_j(build):
 
 @_per_twice_j
 def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w and real orthonormal eigenvectors V of the tridiagonal Jx."""
-    off = _ladder(HalfInteger(twice_j)) / 2.0
-    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    """Eigenvalues w = m, exactly, and real orthonormal eigenvectors V of the tridiagonal Jx.
+
+    eigh's columns come in ascending order, as m_values does; its rounded
+    eigenvalues, off by ~eps j, are not kept.
+    """
+    j = HalfInteger(twice_j)
+    off = _ladder(j) / 2.0
+    return m_values(j), np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1]
 
 
 def _ladder_matrix(j: HalfInteger) -> np.ndarray:

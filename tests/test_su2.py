@@ -27,6 +27,7 @@ from spincat import (
     jx,
     jy,
     jz,
+    m_values,
     make_noon,
     rotate,
     weight_state,
@@ -197,8 +198,9 @@ def test_generator_cache_under_threads():
 
 
 def _fresh_jx_eigensystem(j):
+    # Jx's eigenvalues are the weights m exactly; the vectors are eigh's.
     off = su2._ladder(j) / 2.0
-    return np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))
+    return m_values(j), np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1]
 
 
 def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
