@@ -7,10 +7,9 @@ NO_COLOR is unset).  CSV-producing commands write to --out when given,
 otherwise stream the CSV to stdout.  This is the one module that formats
 output: the library returns data, and every table is written here.
 
-Commands raise; `main` alone turns an exception into an exit code and one
-stderr line: a state-file or other I/O failure is 3, any other refusal the
-library raises on purpose (`SpinCatError`) or a size that cannot be
-allocated is 2.  The library, not the CLI, decides which inputs it refuses.
+Commands raise; `main` alone maps an exception to an exit code and one
+stderr line: state-file and other I/O errors exit 3, a `SpinCatError` the
+library raises on purpose or an unallocatable size exits 2.
 """
 from __future__ import annotations
 
@@ -164,8 +163,8 @@ def _write_csv(header, columns, out_path, summary: dict) -> int:
 def cmd_coherent(parser, args) -> int:
     label = _resolve_label(parser, args)
     j = HalfInteger(args.twice_j)
-    state = coherent_expansion(j, label)
-    save_state(state, args.out, {"kind": "coherent", "twice_j": str(j.twice_value), "label": repr(label.gamma)})
+    meta = {"kind": "coherent", "twice_j": str(j.twice_value), "label": repr(label.gamma)}
+    save_state(coherent_expansion(j, label), args.out, meta)
     _emit({"twice_j": j.twice_value, "dim": j.dim, "path": str(args.out)})
     return EXIT_OK
 

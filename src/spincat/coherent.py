@@ -15,6 +15,7 @@ except where a test pins one deliberately.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -68,10 +69,10 @@ class SpinorLabel:
         """v / u, the stereographic coordinate; infinite at the pole."""
         return self.v_dir / self.u_dir if self.u_dir else complex(math.inf)
 
-    @property
-    def phases(self) -> list[float]:
-        """[arg u, arg v], as `np.angle` reads them from `u_dir` and `v_dir`."""
-        return np.angle((self.u_dir, self.v_dir)).tolist()
+    @functools.cached_property
+    def phases(self) -> tuple[float, float]:
+        """(arg u, arg v), as `np.angle` reads them from `u_dir` and `v_dir`, once per label."""
+        return tuple(np.angle((self.u_dir, self.v_dir)).tolist())
 
     def negated(self) -> "SpinorLabel":
         """Label of the antipodal-in-phi state, v -> -v (gamma -> -gamma)."""

@@ -108,8 +108,7 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     Returns (fidelity, c_plus, c_minus) where fidelity is the norm of the
     orthogonal projection of `state` onto the span.  Independent of the
     prediction route: nothing here assumes how `state` was produced.
-    Raises `PoleLabel` for gamma = 0 or infinity, where gamma and -gamma are
-    one state.
+    Raises `PoleLabel` at either pole, where the two components coincide.
     """
     label = as_label(gamma)
     if label.u_abs * label.v_abs == 0:

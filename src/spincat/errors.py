@@ -14,12 +14,8 @@ class IrrepMismatch(SpinCatError):
 
 
 class PoleLabel(SpinCatError):
-    """The operation needs a label off a pole but got gamma = 0 or infinity.
-
-    Which pole is refused depends on the operation: the rotation from
-    |j,-j> needs a finite gamma, and a cat of |gamma> and |-gamma> needs
-    both poles excluded, since at either one the two are the same state.
-    """
+    """The label is on a pole the operation excludes: gamma = inf for the rotation
+    from |j,-j>, gamma = 0 or inf for a cat of |gamma> and |-gamma> (one state there)."""
 
 
 class ZeroSpin(SpinCatError):

@@ -2,13 +2,12 @@
 
 `_apply_function` applies a function of Jx or Jy to a state without
 building a d x d complex matrix: it takes the values of the function on the
-eigenvalues of the real tridiagonal Jx, exactly the weights m, in that
-eigenbasis.  It is the one
-reader of Jx's eigenvectors: `rotate`, the coherent rotation and the y twist
-all go through it.  The generator matrices and `expm_hermitian`, which
-exponentiates any Hermitian generator by dense eigendecomposition, are the
-dense reference the state kernels are tested against; nothing in the
-pipeline calls them.
+eigenvalues of the real tridiagonal Jx, exactly m, in that eigenbasis.  It
+is the one reader of Jx's eigenvectors: `rotate`, the coherent rotation and
+the y twist all go through it.  The generator matrices and
+`expm_hermitian`, which exponentiates any Hermitian generator by dense
+eigendecomposition, are the dense reference the state kernels are tested
+against; nothing in the pipeline calls them.
 
 The pipeline reads three structures: J+'s band (`_ladder`), the weights m
 and Jx's eigensystem.  `verify` checks the algebra on exactly these, in
@@ -187,11 +186,7 @@ def _per_twice_j(build):
 
 @_per_twice_j
 def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w = m, exactly, and real orthonormal eigenvectors V of the tridiagonal Jx.
-
-    eigh's columns come in ascending order, as m_values does; its rounded
-    eigenvalues, off by ~eps j, are not kept.
-    """
+    """Eigenvalues w of the tridiagonal Jx, exactly m, and eigh's real orthonormal V, both ascending."""
     j = HalfInteger(twice_j)
     off = _ladder(j) / 2.0
     return m_values(j), np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1]

@@ -1,10 +1,12 @@
 """The CI workflow parses, runs ROADMAP's tier-1 command word for word, then
 every benchmark workload under its tracer and the installed `spincat
-verify` entry point; and the pytest configuration lets a failing property
-test be reported without ending the session.
+verify` entry point; the pytest configuration lets a failing property
+test be reported without ending the session; and no package module keeps
+an import it does not read.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
+import ast
 import re
 import shutil
 import subprocess
@@ -66,3 +68,19 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
     )
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+def test_every_package_module_reads_what_it_imports():
+    # A deletion must not leave a dead import behind; __init__ re-exports.
+    for path in sorted((ROOT / "src" / "spincat").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert bound <= read, (path.name, sorted(bound - read))
