@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .coherent import BlochDirection, SpinorLabel, as_label, coherent_expansion, husimi_grid, stereographic
-from .dynamics import cat_scan, fit_two_component, quarter_period_evolve
+from .dynamics import _two_component_label, cat_scan, fit_two_component, quarter_period_evolve
 from .errors import SpinCatError, StateFileError
 from .halfint import HalfInteger
 from .metrology import scaling_table
@@ -170,7 +170,7 @@ def cmd_coherent(parser, args) -> int:
 
 
 def cmd_cat(parser, args) -> int:
-    label = _resolve_label(parser, args)
+    label = _two_component_label(_resolve_label(parser, args))
     j = HalfInteger(args.twice_j)
     evolved = quarter_period_evolve(coherent_expansion(j, label), args.omega)
     fid, c_plus, c_minus = fit_two_component(evolved, label)

@@ -7,7 +7,8 @@ Gilmore & Thomas, PRA 6, 2211 (1972)):
 
 so (1, 0) is |j,-j>_z and the pole (0, 1), an ordinary label, is |j,+j>_z.
 Bloch angles give (cos(theta/2), e^{i phi} sin(theta/2)) and gamma = v/u =
-e^{i phi} tan(theta/2).  A rotation about x or y only moves the label
+e^{i phi} tan(theta/2); the state is also e^{i phi k} exp(i theta Jy) |j,-j>_z
+(`_rotated_lowest`).  A rotation about x or y only moves the label
 (`rotate_label`), global phase included.  All state comparisons elsewhere in
 the package use fidelity |<a|b>|; global phases are physically meaningless
 except where a test pins one deliberately.
@@ -204,41 +205,29 @@ def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
     return radial * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
 
 
-def _rotation_parameters(j: HalfInteger, label: SpinorLabel) -> tuple[float, np.ndarray]:
-    """(theta, r) of the rotation I + R (e^{i theta Jx} - 1) R^dag, R = diag(r), in `_rotated_lowest`.
-
-    Raises PoleLabel at the pole, where phi is not unique.
-    """
-    if not label.u_abs:
-        raise PoleLabel("the rotation from |j,-j> requires a finite label")
-    theta = 2.0 * math.atan(abs(label.gamma))
-    arg_u, arg_v = label.phases  # as in `bloch_direction`
-    return theta, np.exp(-1j * (math.pi / 2.0 - (arg_v - arg_u)) * m_values(j))
-
-
 def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
     """The rotation of |j,-j>_z onto each label's |j,gamma>, one column per label.
 
-    With gamma = e^{i phi} tan(theta/2) the rotation is
-    exp{ (theta/2) (e^{i phi} J+ - e^{-i phi} J-) }, its ladder phase fixed
-    so the column matches `coherent_expansion` entry by entry, not just up
-    to phase.  Its generator is sin(phi) Jx + cos(phi) Jy = R Jx R^dag with
-    R = exp(-i (pi/2 - phi) Jz) = diag(r), so the unitary is
-    I + R (e^{i theta Jx} - 1) R^dag, and its column 0 is
-    e_0 + r ((e^{i theta Jx} - 1) e_0) conj(r_0).  `_apply_function` takes
-    every label's e^{i theta w} - 1 as one d x n matrix, so one real product
-    with Jx's eigenvectors serves them all.
+    With gamma = e^{i phi} tan(theta/2), column n is e^{i phi_n k} times
+    e_0 + (e^{i theta_n Jy} - 1) e_0, k = j + m: `rotate`'s y rotation by
+    -theta_n, then a diagonal phase, both exact at every j, so the column
+    matches `coherent_expansion` entry by entry, global phase included.
+    `_apply_function` takes every label's e^{i theta w} - 1 as one d x n
+    matrix, so one real product with Jx's eigenvectors serves them all.
 
     A label whose u carries a phase gets the column of its gamma, that
     label's state up to a global phase.  Raises PoleLabel at the pole, where
     phi is not unique; `coherent_expansion` builds that state directly.
     """
-    thetas, rs = zip(*(_rotation_parameters(j, as_label(g)) for g in labels))
-    r = np.column_stack(rs)
+    labels = [as_label(g) for g in labels]
+    if any(not label.u_abs for label in labels):
+        raise PoleLabel("the rotation from |j,-j> requires a finite label")
+    thetas = [2.0 * math.atan(abs(label.gamma)) for label in labels]
+    phis = [arg_v - arg_u for arg_u, arg_v in (label.phases for label in labels)]  # as in `bloch_direction`
     lowest = np.eye(j.dim, 1)  # |j,-j>_z as a column
-    out = r * _apply_function(j, "x", lambda w: np.expm1(1j * np.outer(w, thetas)) * r[0].conj(), lowest)
+    out = _apply_function(j, "y", lambda w: np.expm1(1j * np.outer(w, thetas)), lowest)
     out[0] += 1.0
-    return out
+    return np.exp(1j * np.outer(np.arange(j.dim), phis)) * out
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

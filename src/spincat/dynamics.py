@@ -102,6 +102,14 @@ def _cat_fidelity(evolved: SpinState, gamma) -> float:
     return abs(overlap(evolved, predicted_cat(evolved.j, gamma).materialize()))
 
 
+def _two_component_label(gamma):
+    """The label of a cat of |gamma> and |-gamma>; raises `PoleLabel` at either pole, where they coincide."""
+    label = as_label(gamma)
+    if label.u_abs * label.v_abs == 0:
+        raise PoleLabel("need a label off the poles so the two components differ")
+    return label
+
+
 def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]:
     """Least-squares decomposition of `state` onto span{|j,gamma>, |j,-gamma>}.
 
@@ -110,9 +118,7 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     prediction route: nothing here assumes how `state` was produced.
     Raises `PoleLabel` at either pole, where the two components coincide.
     """
-    label = as_label(gamma)
-    if label.u_abs * label.v_abs == 0:
-        raise PoleLabel("need a label off the poles so the two components differ")
+    label = _two_component_label(gamma)
     # |-v| = |v|, so both components share one `_binomial_weights` row; each
     # column is a SpinState's, as `coherent_expansion` gives it.
     radial = _binomial_weights(state.j.twice_value, label.u_abs, label.v_abs)
@@ -141,7 +147,7 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
     rows = []
     for j in j_list:
         for omega in omega_list:
-            evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
+            evolved = quarter_period_evolve(coherent_expansion(j, _two_component_label(gamma)), omega)
             fid, c_plus, c_minus = fit_two_component(evolved, gamma)
             rows.append(CatScanRow(j.twice_value, omega, fid, c_plus, c_minus))
     return rows

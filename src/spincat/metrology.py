@@ -50,11 +50,17 @@ def noon_signal(n_total: int, phi0: float, phi: float | np.ndarray) -> float | n
 
 
 def error_propagation_uncertainty(state: TwoModeState) -> float:
-    """delta A / |d<A>/dphi| at the steepest-slope operating point."""
+    """delta A / |d<A>/dphi| at the steepest-slope operating point.
+
+    N delta_phi = sqrt(|top|^2 + |bottom|^2) / 2|cross|, |cross| = |top| |bottom|.
+    Raises ValueError when the smaller extreme is at most 1e-8 of the larger
+    (N delta_phi > 5e7): a flat fringe, or a rounding residue (~2e-16 at odd N).
+    """
     n = state.n_total
-    cross = np.conj(state.amplitudes[-1]) * state.amplitudes[0]
-    if abs(cross) == 0.0:
-        raise ValueError("no extreme-component coherence; the fringe is flat")
+    top, bottom = state.amplitudes[-1], state.amplitudes[0]
+    cross = np.conj(top) * bottom
+    if abs(cross) <= 1e-8 * max(abs(top), abs(bottom)) ** 2:
+        raise ValueError("the fringe is flat: one extreme amplitude is at most 1e-8 of the other")
     # steepest slope sits where <A> crosses zero
     phi_star = (math.pi / 2.0 - np.angle(cross)) / n
     mean, mean_sq, slope = (float(v) for v in _coherence_moments(state, phi_star))

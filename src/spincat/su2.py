@@ -2,22 +2,22 @@
 
 `_apply_function` applies a function of Jx or Jy to a state without
 building a d x d complex matrix: it takes the values of the function on the
-eigenvalues of the real tridiagonal Jx, exactly m, in that eigenbasis.  It
-is the one reader of Jx's eigenvectors: `rotate`, the coherent rotation and
-the y twist all go through it.  The generator matrices and
-`expm_hermitian`, which exponentiates any Hermitian generator by dense
-eigendecomposition, are the dense reference the state kernels are tested
-against; nothing in the pipeline calls them.
+weights m, which are Jx's eigenvalues exactly, in Jx's eigenbasis V.  It
+is the one reader of V: `rotate`, the coherent rotation and the y twist
+all go through it.  The generator matrices and `expm_hermitian`, which
+exponentiates any Hermitian generator by dense eigendecomposition, are the
+dense reference the state kernels are tested against; nothing in the
+pipeline calls them.
 
 The pipeline reads three structures: J+'s band (`_ladder`), the weights m
-and Jx's eigensystem.  `verify` checks the algebra on exactly these, in
+and Jx's eigenvectors V.  `verify` checks the algebra on exactly these, in
 O(d) from the band and its squares (`_ladder_squares`) and in O(d^2) for
-Jx V = V diag(w).
+Jx V = V diag(m).
 
 Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
 built afresh per call past 64, so a run of distinct large 2j holds nothing
-after its caller is done.  Jx's eigensystem (`_jx_eigensystem`, ~0.77 MB
+after its caller is done.  Jx's eigenvectors (`_jx_eigensystem`, ~0.77 MB
 kept in all) and the exact binomials (`coherent._sqrt_binomials`) are the
 only such tables.  Generator matrices are built per call and never kept.
 
@@ -185,11 +185,10 @@ def _per_twice_j(build):
 
 
 @_per_twice_j
-def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues w of the tridiagonal Jx, exactly m, and eigh's real orthonormal V, both ascending."""
-    j = HalfInteger(twice_j)
-    off = _ladder(j) / 2.0
-    return m_values(j), np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1]
+def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray]:
+    """(V,): eigh's real orthonormal eigenvectors of the tridiagonal Jx, for ascending eigenvalues m."""
+    off = _ladder(HalfInteger(twice_j)) / 2.0
+    return (np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1],)
 
 
 def _ladder_matrix(j: HalfInteger) -> np.ndarray:
@@ -250,23 +249,23 @@ _MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
 def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
-    """f(J_axis) psi for axis 'x' or 'y', the one reader of Jx's eigensystem.
+    """f(J_axis) psi for axis 'x' or 'y', the one reader of Jx's eigenvectors V.
 
-    With (w, V) Jx's real eigensystem this is V (f(w) * (V^T psi)); for y it
-    is conjugated by D = diag((-i)^k), exactly.  `f` maps w to a vector or
-    a d x n matrix of values, and `psi` is a vector or a d x 1 column, so n
-    functions of one state come out as the n columns of one product.  No
+    Jx's eigenvalues are the weights m, so this is V (f(m) * (V^T psi)); for
+    y it is conjugated by D = diag((-i)^k), exactly.  `f` maps m to a vector
+    or a d x n matrix of values, and `psi` is a vector or a d x 1 column, so
+    n functions of one state come out as the n columns of one product.  No
     d x d complex matrix is formed.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    w, v = _jx_eigensystem(j.twice_value)
+    (v,) = _jx_eigensystem(j.twice_value)
     if axis == "y":
         d = _MINUS_I_POWERS[np.arange(j.dim) % 4].reshape((-1,) + (1,) * (np.ndim(psi) - 1))
         psi = d.conj() * psi
     # Real and imaginary parts separately: a real V never turns into a
     # complex d x d copy.
-    c = f(w) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
+    c = f(m_values(j)) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
     out = v @ c.real + 1j * (v @ c.imag)
     return d * out if axis == "y" else out
 

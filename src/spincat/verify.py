@@ -7,11 +7,11 @@ A fidelity is reported as its deficit 1 - F.
 
 The checks read the structures the pipeline runs on, not dense products of
 them: the algebra from J+'s band (`su2._ladder`) and the weights m in O(d),
-Jx's kept eigensystem (`su2._jx_eigensystem`) by Jx V = V diag(w) with Jx
+Jx's kept eigenvectors (`su2._jx_eigensystem`) by Jx V = V diag(m) with Jx
 applied as its band in O(d^2), the Fock sector from its own band.  The
-coherent rotation and the rotated identity, which only this module checks,
-are products with V (`su2._apply_function`), so no check exponentiates a
-matrix or forms a d x d complex product.
+coherent rotation (a y rotation of |j,-j>) and the rotated identity, which
+only this module checks, are products with V (`su2._apply_function`), so no
+check exponentiates a matrix or forms a d x d complex product.
 """
 from __future__ import annotations
 
@@ -22,7 +22,9 @@ import numpy as np
 
 from . import su2
 from .coherent import (
+    _binomial_weights,
     _rotated_lowest,
+    _with_phase,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -43,7 +45,7 @@ from .schwinger import (
     spin_to_fock,
     verify_schwinger_realization,
 )
-from .su2 import weight_state
+from .su2 import SpinState, weight_state
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,18 @@ def _ladder_residuals(j: HalfInteger, ladder: np.ndarray) -> tuple[float, float]
     return float(comm), float(cas)
 
 
-def _jx_eigensystem_residual(j: HalfInteger, ladder: np.ndarray, w: np.ndarray, v: np.ndarray) -> float:
-    """max(||Jx V - V diag(w)||_F / d, max |w - m|, max | ||v_k||^2 - 1 |), in O(d^2).
+def _jx_eigensystem_residual(j: HalfInteger, ladder: np.ndarray, v: np.ndarray) -> float:
+    """max(||Jx V - V diag(m)||_F / d, max | ||v_k||^2 - 1 |), in O(d^2).
 
-    Jx = (J+ + J-)/2 is applied as its band, ladder/2 on both sides of the
-    diagonal.  Unit columns with eigenvalues a gap of 1 apart are
-    orthonormal to within the residual, so this is all `rotate` relies on.
+    Jx = (J+ + J-)/2, whose eigenvalues are m, is applied as its band.  Unit
+    columns with eigenvalues a gap of 1 apart are orthonormal to within the
+    residual, so this is all `rotate` relies on.
     """
     half = (ladder / 2.0)[:, None]
     jx_v = np.zeros_like(v)
     jx_v[1:] += half * v[:-1]
     jx_v[:-1] += half * v[1:]
-    terms = [
-        np.linalg.norm(jx_v - v * w) / j.dim,
-        np.max(np.abs(w - m_values(j))),
-        np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0)),
-    ]
+    terms = [np.linalg.norm(jx_v - v * m_values(j)) / j.dim, np.max(np.abs(np.einsum("ij,ij->j", v, v) - 1.0))]
     return float(np.max(terms))
 
 
@@ -116,7 +114,7 @@ def _algebra_section(max_twice_j: int):
         ladder = su2._ladder(j)
         # Each band entry is a difference of numbers of size j(j+1), so the
         # band residuals, norms over d, round like j^(3/2); eigh's error in
-        # Jx's spectrum grows like ||Jx|| = j.  Up to 2j = 60 the bounds
+        # Jx's eigenvectors grows like ||Jx|| = j.  Up to 2j = 60 the bounds
         # are the plain 1e-12.
         scale = max(1.0, j.value / 30.0)
         band_comm, band_cas = _ladder_residuals(j, ladder)
@@ -134,12 +132,13 @@ def _coherent_section(rng, max_twice_j: int):
     for tj in range(0, limit + 1):
         j = HalfInteger(tj)
         labels = [as_label(g) for g in _random_gammas(rng, 20)]
-        # Every label's rotation of |j,-j>_z in one product with V.
+        # Every label's y rotation of |j,-j>_z in one product with V.
         built = _rotated_lowest(j, labels)
         for column, label in zip(built.T, labels):
-            expanded = coherent_expansion(j, label)
-            dist.append(np.linalg.norm(column - expanded.amplitudes))
-            norms.append(abs(expanded.norm() - 1.0))
+            # The amplitudes before SpinState renormalizes them, which would hide a drift.
+            raw = _with_phase(_binomial_weights(tj, label.u_abs, label.v_abs), label)
+            dist.append(np.linalg.norm(column - SpinState(j, raw).amplitudes))
+            norms.append(abs(np.linalg.norm(raw) - 1.0))
     yield _bound("coherent", f"rotation vs expansion, 2j<={limit}", dist, 1e-12)
     yield _bound("coherent", "constructed norms", norms, 1e-12)
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import csv_text
 from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
-from spincat import cli
+from spincat import cli, dynamics
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
 from spincat.verify import _algebra_section
@@ -404,12 +404,17 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("gamma", ["0", "inf"])
-def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, gamma):
-    # fit_two_component refuses the label; the CLI has no rule of its own.
-    for argv in (("cat", "--twice-j", "4", "--out", str(tmp_path / "o.json")), ("scan", "--twice-j-list", "2")):
+def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, monkeypatch, gamma):
+    # dynamics refuses the label, before it is expanded (~0.1 s at 2j = 20000);
+    # the CLI has no rule of its own.
+    def expand(j, label):
+        raise AssertionError("a refused label was expanded")
+
+    monkeypatch.setattr(cli, "coherent_expansion", expand)
+    monkeypatch.setattr(dynamics, "coherent_expansion", expand)
+    for argv in (("cat", "--twice-j", "20000", "--out", str(tmp_path / "o.json")), ("scan", "--twice-j-list", "20000")):
         rc, out, err = run(capsys, *argv, f"--gamma={gamma}")
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: need a label off the poles") and err.count("\n") == 1
+        assert (rc, out, err) == (2, "", "error: need a label off the poles so the two components differ\n")
     assert not (tmp_path / "o.json").exists()
     # No row needs the fit, so an empty scan writes its header and succeeds.
     rc, out, _ = run(capsys, "scan", "--twice-j-list", ",", f"--gamma={gamma}")

@@ -10,6 +10,7 @@ from _oracles import apply_phase_shift, binomial_probe_amplitudes, extreme_coher
 from spincat import (
     NoonState,
     TwoModeState,
+    make_noon,
     noon_signal,
     phase_uncertainty,
     quantum_fisher_information,
@@ -148,6 +149,15 @@ def test_error_propagation_rejects_flat_fringe():
     single[4] = 1.0
     with pytest.raises(ValueError):
         error_propagation_uncertainty(TwoModeState(4, single))
+    # One extreme of the odd-N pipeline state is a ~2e-16 rounding residue, not a fringe.
+    for n in (3, 5, 7):
+        with pytest.raises(ValueError):
+            error_propagation_uncertainty(make_noon(n))
+
+
+def test_error_propagation_keeps_a_noon_fringe():
+    for probe in (*(NoonState(n, 0.3).to_two_mode() for n in range(1, 12)), make_noon(4)):
+        assert error_propagation_uncertainty(probe) * probe.n_total == pytest.approx(1.0, abs=1e-12), probe.n_total
 
 
 def test_qfi_examples():

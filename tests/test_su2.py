@@ -27,7 +27,6 @@ from spincat import (
     jx,
     jy,
     jz,
-    m_values,
     make_noon,
     rotate,
     weight_state,
@@ -198,9 +197,9 @@ def test_generator_cache_under_threads():
 
 
 def _fresh_jx_eigensystem(j):
-    # Jx's eigenvalues are the weights m exactly; the vectors are eigh's.
+    # Jx's eigenvalues are the weights m exactly, so the table holds eigh's vectors alone.
     off = su2._ladder(j) / 2.0
-    return m_values(j), np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1]
+    return (np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1],)
 
 
 def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
@@ -230,10 +229,9 @@ def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
 
 def test_jx_memo_is_read_only():
     for tj in (0, 6, 64, 65, 200):
-        w, v = _jx_eigensystem(tj)
-        for arr in (w, v):
-            with pytest.raises(ValueError):
-                arr[0] = 1.0
+        (v,) = _jx_eigensystem(tj)
+        with pytest.raises(ValueError):
+            v[0] = 1.0
     # What was kept is unchanged by the attempts above.
     j = HalfInteger(6)
     for got, want in zip(_jx_eigensystem(6), _fresh_jx_eigensystem(j)):

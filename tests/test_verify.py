@@ -19,7 +19,7 @@ from spincat import (
     verify_schwinger_realization,
     weight_state,
 )
-from spincat import schwinger, su2
+from spincat import coherent, schwinger, su2
 from spincat.coherent import _rotated_lowest
 from spincat.dynamics import _rotated_identity_routes
 from spincat import verify
@@ -85,31 +85,25 @@ def test_a_ladder_entry_off_by_1e_9_fails_every_band_check(monkeypatch, kept_tab
     assert verify_schwinger_realization(HalfInteger(9)) <= 1e-12
 
 
-def _swap_columns(w, v):
+def _swap_columns(v):
     v = v.copy()
     v[:, [2, 5]] = v[:, [5, 2]]
-    return w, v
+    return v
 
 
-def _shift_eigenvalue(w, v):
-    w = w.copy()
-    w[3] += 1e-9
-    return w, v
-
-
-def _scale_column(w, v):
+def _scale_column(v):
     # Still an eigenvector, but no longer a unit one.
     v = v.copy()
     v[:, 4] *= 1.0 + 1e-9
-    return w, v
+    return v
 
 
-@pytest.mark.parametrize("corrupt", [_swap_columns, _shift_eigenvalue, _scale_column])
+@pytest.mark.parametrize("corrupt", [_swap_columns, _scale_column])
 def test_a_corrupted_jx_eigensystem_fails_its_check(monkeypatch, corrupt):
     kept = su2._jx_eigensystem
 
     def corrupted(twice_j):
-        return corrupt(*kept(twice_j)) if twice_j == 8 else kept(twice_j)
+        return (corrupt(*kept(twice_j)),) if twice_j == 8 else kept(twice_j)
 
     # su2 is the one module that reads V, so patching it reaches every check.
     monkeypatch.setattr(su2, "_jx_eigensystem", corrupted)
@@ -120,6 +114,20 @@ def test_a_corrupted_jx_eigensystem_fails_its_check(monkeypatch, corrupt):
         # The coherent rotations and the rotated identity run on the same V.
         assert not _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))["rotation vs expansion"]
         assert not _checks(_rotated_section(MAX_TJ))["both routes vs prediction"]
+
+
+def test_a_norm_drift_fails_the_constructed_norms_check(monkeypatch):
+    # SpinState renormalizes a drift under 1e-9, so the check reads the amplitudes before it.
+    weights = coherent._binomial_weights
+
+    def drifted(*args):
+        return weights(*args) * (1.0 + 1e-11)
+
+    monkeypatch.setattr(coherent, "_binomial_weights", drifted)
+    monkeypatch.setattr(verify, "_binomial_weights", drifted)
+    checks = _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))
+    assert checks.pop("constructed norms") is False
+    assert all(checks.values())
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
@@ -155,15 +163,15 @@ def test_band_residuals_agree_with_the_dense_oracle(factor):
             assert max(got) <= 1e-12
 
 
-@pytest.mark.parametrize("corrupt", [None, _swap_columns, _shift_eigenvalue, _scale_column])
+@pytest.mark.parametrize("corrupt", [None, _swap_columns, _scale_column])
 def test_jx_eigensystem_residual_agrees_with_the_dense_oracle(corrupt):
     for tj in range(6, 61):
         j = HalfInteger(tj)
-        w, v = su2._jx_eigensystem(tj)
+        (v,) = su2._jx_eigensystem(tj)
         if corrupt is not None:
-            w, v = corrupt(w, v)
-        got = _jx_eigensystem_residual(j, su2._ladder(j), w, v)
-        want = jx_eigensystem_residual_dense(j, w, v)
+            v = corrupt(v)
+        got = _jx_eigensystem_residual(j, su2._ladder(j), v)
+        want = jx_eigensystem_residual_dense(j, v)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-13), tj
         assert (got <= 1e-12) == (corrupt is None)
 
