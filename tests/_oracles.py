@@ -99,6 +99,27 @@ def extreme_coherence_matrix(n_total: int) -> np.ndarray:
     return mat
 
 
+def steepest_point_uncertainty(state: TwoModeState) -> float:
+    """delta A / |d<A>/dphi| for A = extreme_coherence_matrix at the phase where
+    a centered difference of <A> is steepest: a 256-point sweep of one fringe
+    period, then 200 finer steps across the best coarse point."""
+    a_mat = extreme_coherence_matrix(state.n_total)
+
+    def moments(phi):
+        psi = apply_phase_shift(state, phi).amplitudes
+        return np.vdot(psi, a_mat @ psi).real, np.vdot(psi, a_mat @ a_mat @ psi).real
+
+    def slope(phi, step):
+        return (moments(phi + step)[0] - moments(phi - step)[0]) / (2.0 * step)
+
+    coarse = 2.0 * math.pi / state.n_total / 256
+    best = max(np.arange(256) * coarse, key=lambda p: abs(slope(p, coarse)))
+    fine = coarse / 100
+    best = max(best + np.arange(-100, 101) * fine, key=lambda p: abs(slope(p, fine)))
+    mean, mean_sq = moments(best)
+    return math.sqrt(mean_sq - mean**2) / abs(slope(best, fine))
+
+
 def binomial_probe_amplitudes(n_total: int) -> np.ndarray:
     """50/50 beam-split single-mode input: n_a ~ Binomial(N, 1/2)."""
     k = np.arange(n_total + 1)
@@ -159,7 +180,8 @@ def csv_text(header, columns) -> str:
 
 def chained_generators(j: HalfInteger) -> dict[str, SpinOperator]:
     """J+, J-, Jx, Jy, Jz and the Casimir, each built from scratch as
-    J- = (J+)^dag, Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i: the uncached route."""
+    J- = (J+)^dag, Jx = (J+ + J-)/2, Jy = (J+ - J-)/2i: the chained
+    expressions su2's builders must match bit for bit."""
     m = m_values(j)[:-1]
     plus = SpinOperator(j, np.diag(np.sqrt(j.casimir_eigenvalue() - m * (m + 1)), k=-1).astype(np.complex128))
     minus = plus.dagger()

@@ -1,8 +1,9 @@
 """The CI workflow parses, runs ROADMAP's tier-1 command word for word, then
 every benchmark workload under its tracer and the installed `spincat
 verify` entry point; the pytest configuration lets a failing property
-test be reported without ending the session; and no package or test
-module keeps an import it does not read.
+test be reported without ending the session; no package or test
+module keeps an import it does not read; and the package reads every
+module-level private name it defines.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
@@ -85,3 +86,27 @@ def test_every_package_module_reads_what_it_imports():
                 bound.update(alias.asname or alias.name for alias in node.names)
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert bound <= read, (path.name, sorted(bound - read))
+
+
+def test_every_private_package_name_is_read():
+    # A module-level _name that nothing in the package reads is dead code left
+    # behind by a deletion.  perfbench is left to the benchmark.
+    defined, read = set(), set()
+    for path in sorted((ROOT / "src" / "spincat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert private, "no private name found: the walk above is broken"
+    assert private <= read, sorted(private - read)

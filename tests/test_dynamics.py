@@ -39,7 +39,7 @@ from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
 
-def test_spec_validation():
+def test_zero_spin_and_an_unknown_axis_are_refused():
     with pytest.raises(ZeroSpin):
         kerr_hamiltonian(HalfInteger(0))
     with pytest.raises(ZeroSpin):
@@ -277,14 +277,14 @@ def test_cat_scan_integer_rows_hit_unity():
         assert r.fidelity >= 1 - 1e-10
 
 
-def test_rotate_x_quarter_spin_half_matrix():
+def test_rotate_x_half_pi_spin_half_matrix():
     j = HalfInteger(1)
     u = np.column_stack([rotate(weight_state(j, tm), "x", math.pi / 2).amplitudes for tm in (-1, 1)])
     c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     assert np.allclose(u, [[c, -1j * s], [-1j * s, c]], atol=1e-15)
 
 
-def test_rotate_x_quarter_maps_y_extremes_to_z_extremes():
+def test_rotate_x_half_pi_maps_y_extremes_to_z_extremes():
     for tj in (1, 2, 5, 12):
         j = HalfInteger(tj)
         plus, minus = jy_extremal_states(j)

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import apply_phase_shift, binomial_probe_amplitudes, extreme_coherence_matrix
+from _oracles import (
+    apply_phase_shift,
+    binomial_probe_amplitudes,
+    extreme_coherence_matrix,
+    steepest_point_uncertainty,
+)
 from spincat import (
+    InvalidN,
     NoonState,
     TwoModeState,
     make_noon,
@@ -149,15 +155,37 @@ def test_error_propagation_rejects_flat_fringe():
     single[4] = 1.0
     with pytest.raises(ValueError):
         error_propagation_uncertainty(TwoModeState(4, single))
-    # One extreme of the odd-N pipeline state is a ~2e-16 rounding residue, not a fringe.
-    for n in (3, 5, 7):
+    # One extreme of the odd-N pipeline state is a ~2e-16 rounding residue, not a
+    # fringe; from N = 49 on the other extreme is small too (9.3e-10 at N = 61, and
+    # both ~1e-15 at N = 101), so only a bound on N delta_phi itself refuses them.
+    for n in (3, 5, 7, 49, 61, 101, 129):
         with pytest.raises(ValueError):
             error_propagation_uncertainty(make_noon(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Both extremes zero: 0 >= 0 still refuses, where a strict rule would return nan.
+        with pytest.raises(ValueError):
+            error_propagation_uncertainty(TwoModeState(2, [0, 1, 0]))
+        # N = 0 has no fringe at all; it is refused as noon_fidelity refuses it.
+        with pytest.raises(InvalidN):
+            error_propagation_uncertainty(TwoModeState(0, [1.0]))
 
 
 def test_error_propagation_keeps_a_noon_fringe():
     for probe in (*(NoonState(n, 0.3).to_two_mode() for n in range(1, 12)), make_noon(4)):
         assert error_propagation_uncertainty(probe) * probe.n_total == pytest.approx(1.0, abs=1e-12), probe.n_total
+
+
+@given(st.integers(1, 12), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_error_propagation_matches_matrix_oracle_on_general_states(n, seed):
+    # Random interior amplitudes; each extreme at least 0.1 in modulus before
+    # normalizing, so the fringe is far from flat.
+    rng = np.random.default_rng(seed)
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    vec[[0, -1]] = rng.uniform(0.1, 1.0, 2) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 2))
+    probe = TwoModeState(n, vec / np.linalg.norm(vec))
+    assert error_propagation_uncertainty(probe) == pytest.approx(steepest_point_uncertainty(probe), rel=1e-6)
 
 
 def test_qfi_examples():

@@ -120,7 +120,7 @@ def test_generators_bit_identical_to_chained_builds():
             assert got.matrix.tobytes() == want.matrix.tobytes(), (name, tj)
 
 
-def test_cached_generators_are_read_only():
+def test_generators_and_kept_tables_are_read_only():
     j = HalfInteger(6)
     for op in (jplus, jminus, jx, jy, jz):
         with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_per_twice_j_tables_keep_up_to_2j_64(table):
             assert got.tobytes() == repeat.tobytes() == want.tobytes(), tj
 
 
-def test_generator_cache_under_threads():
+def test_generators_and_kept_tables_under_threads():
     # More threads than cores, switching often, each cycling through 2j
     # values that straddle the last kept table: every result must still be
     # the exact, read-only generator or table of the 2j asked for.
