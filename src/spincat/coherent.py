@@ -186,6 +186,16 @@ def _binomial_weights(twice_j: int, u_abs, v_abs) -> np.ndarray:
     return radial
 
 
+def _amplitudes(twice_j: int, labels) -> np.ndarray:
+    """|j; u, v>'s raw amplitudes, one row per label or gamma: the one map from labels to amplitudes.
+
+    Row n is `_binomial_weights` of label n's moduli times the phase of u^{2j-k} v^k, 2j arg u + k (arg v - arg u).
+    """
+    columns = zip(*[(label.u_abs, label.v_abs, *label.phases) for label in map(as_label, labels)])
+    u_abs, v_abs, arg_u, arg_v = (np.array(column)[:, None] for column in columns)
+    return _binomial_weights(twice_j, u_abs, v_abs) * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
+
+
 def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     """Coherent state |j; u, v> of a label or gamma, expanded over the weight basis.
 
@@ -194,15 +204,7 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     overflow nor lose the pole limit: gamma -> infinity is (0, 1), which
     lands on |j,+j>_z exactly.
     """
-    label = as_label(gamma)
-    return SpinState(j, _with_phase(_binomial_weights(j.twice_value, label.u_abs, label.v_abs), label))
-
-
-def _with_phase(radial: np.ndarray, label: SpinorLabel) -> np.ndarray:
-    """|j; u, v>'s amplitudes from its `_binomial_weights`: u^{2j-k} v^k has phase 2j arg u + k (arg v - arg u)."""
-    twice_j = radial.size - 1
-    arg_u, arg_v = label.phases
-    return radial * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
+    return SpinState(j, _amplitudes(j.twice_value, [gamma])[0])
 
 
 def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
@@ -260,9 +262,8 @@ class CatDecomposition:
     components: tuple[tuple[SpinorLabel, complex], ...]
 
     def materialize(self) -> SpinState:
-        tj = self.j.twice_value
-        amps = (c * _with_phase(_binomial_weights(tj, lab.u_abs, lab.v_abs), lab) for lab, c in self.components)
-        return SpinState(self.j, sum(amps))
+        rows = _amplitudes(self.j.twice_value, [label for label, _ in self.components])
+        return SpinState(self.j, sum(c * row for (_, c), row in zip(self.components, rows)))
 
 
 def husimi_grid(state: SpinState, n_theta: int, n_phi: int):

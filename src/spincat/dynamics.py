@@ -30,10 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CatDecomposition, _binomial_weights, _with_phase, as_label, coherent_expansion, overlap, rotate_label
+from .coherent import CatDecomposition, _amplitudes, as_label, coherent_expansion, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
+
+_POLE_REFUSAL = "need a label off the poles so the two components differ"
 
 
 def _quarter_period(j: HalfInteger) -> float:
@@ -106,7 +108,7 @@ def _two_component_label(gamma):
     """The label of a cat of |gamma> and |-gamma>; raises `PoleLabel` at either pole, where they coincide."""
     label = as_label(gamma)
     if label.u_abs * label.v_abs == 0:
-        raise PoleLabel("need a label off the poles so the two components differ")
+        raise PoleLabel(_POLE_REFUSAL)
     return label
 
 
@@ -116,14 +118,15 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     Returns (fidelity, c_plus, c_minus) where fidelity is the norm of the
     orthogonal projection of `state` onto the span.  Independent of the
     prediction route: nothing here assumes how `state` was produced.
-    Raises `PoleLabel` at either pole, where the two components coincide.
+    Raises `PoleLabel` where the components coincide: at or within rounding of either pole.
     """
     label = _two_component_label(gamma)
-    # |-v| = |v|, so both components share one `_binomial_weights` row; each
-    # column is a SpinState's, as `coherent_expansion` gives it.
-    radial = _binomial_weights(state.j.twice_value, label.u_abs, label.v_abs)
-    basis = np.column_stack([SpinState(state.j, _with_phase(radial, lbl)).amplitudes for lbl in (label, label.negated())])
-    coeffs, *_ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
+    # Each column is a SpinState's, as `coherent_expansion` gives it.
+    rows = _amplitudes(state.j.twice_value, [label, label.negated()])
+    basis = np.column_stack([SpinState(state.j, row).amplitudes for row in rows])
+    coeffs, _, rank, _ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
+    if rank < 2:
+        raise PoleLabel(_POLE_REFUSAL)
     fid = float(np.linalg.norm(basis @ coeffs))
     return fid, complex(coeffs[0]), complex(coeffs[1])
 
@@ -142,9 +145,9 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
 
     Runs every (j, omega) pair, integer or half-integer alike, with no
     pass/fail contract; integer rows with cleared linear phase come out at
-    fidelity 1, half-integer rows record whatever the fit finds.
+    fidelity 1, half-integer rows record whatever the fit finds; both lists may be any iterables.
     """
-    rows = []
+    rows, omega_list = [], list(omega_list)
     for j in j_list:
         for omega in omega_list:
             evolved = quarter_period_evolve(coherent_expansion(j, _two_component_label(gamma)), omega)

@@ -15,7 +15,7 @@ class IrrepMismatch(SpinCatError):
 
 class PoleLabel(SpinCatError):
     """The label is on a pole the operation excludes: gamma = inf for the rotation
-    from |j,-j>, gamma = 0 or inf for a cat of |gamma> and |-gamma> (one state there)."""
+    from |j,-j>, gamma = 0 or inf for a cat of |gamma> and |-gamma> (one state there, to rounding)."""
 
 
 class ZeroSpin(SpinCatError):

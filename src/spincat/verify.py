@@ -22,9 +22,8 @@ import numpy as np
 
 from . import su2
 from .coherent import (
-    _binomial_weights,
+    _amplitudes,
     _rotated_lowest,
-    _with_phase,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -134,9 +133,8 @@ def _coherent_section(rng, max_twice_j: int):
         labels = [as_label(g) for g in _random_gammas(rng, 20)]
         # Every label's y rotation of |j,-j>_z in one product with V.
         built = _rotated_lowest(j, labels)
-        for column, label in zip(built.T, labels):
-            # The amplitudes before SpinState renormalizes them, which would hide a drift.
-            raw = _with_phase(_binomial_weights(tj, label.u_abs, label.v_abs), label)
+        # The amplitudes before SpinState renormalizes them, which would hide a drift.
+        for column, raw in zip(built.T, _amplitudes(tj, labels)):
             dist.append(np.linalg.norm(column - SpinState(j, raw).amplitudes))
             norms.append(abs(np.linalg.norm(raw) - 1.0))
     yield _bound("coherent", f"rotation vs expansion, 2j<={limit}", dist, 1e-12)

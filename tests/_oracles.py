@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's code paths: amplitudes
 come from the raw power-series formula, overlaps from the closed form,
 and expectation values from explicitly constructed observable matrices.
 The operator helpers at the end act on the library's state and operator
-types through their dense matrices only.
+types through their dense matrices only.  One oracle reads a library
+routine on purpose: `amplitudes_one_label` keeps the per-label phase
+formula on `coherent._binomial_weights`, the bit-for-bit reference of the
+batched builder.
 """
 import math
 import sys
@@ -28,6 +31,7 @@ from spincat import (
     kerr_hamiltonian,
     m_values,
 )
+from spincat.coherent import _binomial_weights
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:
@@ -59,6 +63,15 @@ def coherent_expansion_trig(j: HalfInteger, gamma) -> SpinState:
         with np.errstate(divide="ignore"):
             radial[big] = np.exp(half_log_c + (tj - kb) * np.log(np.cos(half)) + kb * np.log(np.sin(half)))
     return SpinState(j, radial * np.exp(1j * np.angle(g) * k))
+
+
+def amplitudes_one_label(twice_j: int, gamma) -> np.ndarray:
+    """|j; u, v>'s raw amplitudes for one label, the phase formed per label:
+    `_binomial_weights` of the moduli times exp(i (arg v - arg u) k + i arg u 2j)."""
+    label = as_label(gamma)
+    arg_u, arg_v = label.phases
+    radial = _binomial_weights(twice_j, label.u_abs, label.v_abs)
+    return radial * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
 
 
 def coherent_overlap_formula(twice_j: int, g1: complex, g2: complex) -> complex:

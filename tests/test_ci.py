@@ -2,8 +2,9 @@
 every benchmark workload under its tracer and the installed `spincat
 verify` entry point; the pytest configuration lets a failing property
 test be reported without ending the session; no package or test
-module keeps an import it does not read; and the package reads every
-module-level private name it defines.
+module keeps an import it does not read; the package reads every
+module-level private name it defines; and the README's Layout block names
+every package module.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
@@ -110,3 +111,11 @@ def test_every_private_package_name_is_read():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "no private name found: the walk above is broken"
     assert private <= read, sorted(private - read)
+
+
+def test_readme_layout_names_every_package_module():
+    readme = (ROOT / "README.md").read_text()
+    layout = re.search(r"^## Layout\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+    listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
+    modules = {path.name for path in (ROOT / "src" / "spincat").glob("*.py")} - {"__init__.py"}
+    assert modules <= listed, sorted(modules - listed)

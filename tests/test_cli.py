@@ -403,6 +403,25 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cat", "--twice-j", "4", "--gamma=1e-16"),
+        ("cat", "--twice-j", "40", "--theta", "1e-17"),
+        ("scan", "--twice-j-list", "4,40", "--gamma=1e-16"),
+    ],
+)
+def test_a_label_within_rounding_of_a_pole_is_refused_like_a_pole(tmp_path, capsys, argv):
+    # Its two components coincide to rounding, so no fit is reported.
+    path = tmp_path / "out"
+    rc, out, err = run(capsys, *argv, "--out", str(path))
+    assert (rc, out, err) == (2, "", "error: need a label off the poles so the two components differ\n")
+    assert not path.exists()
+    if argv[0] == "scan":
+        # Without --out no CSV line is streamed either.
+        assert run(capsys, *argv) == (2, "", "error: need a label off the poles so the two components differ\n")
+
+
 @pytest.mark.parametrize("gamma", ["0", "inf"])
 def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, monkeypatch, gamma):
     # dynamics refuses the label, before it is expanded (~0.1 s at 2j = 20000);

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    amplitudes_one_label,
     coherent_amplitudes_direct,
     coherent_expansion_trig,
     coherent_overlap_formula,
@@ -37,7 +38,7 @@ from spincat import (
     stereographic,
     weight_state,
 )
-from spincat.coherent import _binomial_weights, _rotated_lowest, _sqrt_binomials
+from spincat.coherent import _amplitudes, _binomial_weights, _rotated_lowest, _sqrt_binomials
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 small_twice_j = st.integers(min_value=0, max_value=20)
@@ -354,6 +355,19 @@ def test_sqrt_binomials_cache_is_read_only_and_small():
     w[:] = 0.0
     assert np.array_equal(_binomial_weights(7, cos, sin), _binomial_weights(7, np.array([[cos]]), np.array([[sin]]))[0])
     assert np.all(_binomial_weights(7, cos, sin) > 0)
+
+
+@pytest.mark.parametrize("twice_j", [0, 1, 7, 64, 65, 1030, 2000])
+def test_amplitudes_rows_are_the_one_label_formula_bit_for_bit(twice_j):
+    # 64 and 65 sit on either side of the kept binomial tables, 1030 and 2000
+    # take the log-space binomials; the rotated label carries a phase on u.
+    labels = [0.0, math.inf, 1j, -1.7 + 0.2j, rotate_label(0.3 + 0.8j, "x", 0.7)]
+    assert labels[-1].phases[0] != 0.0
+    rows = _amplitudes(twice_j, labels)
+    assert rows.shape == (len(labels), twice_j + 1)
+    for row, gamma in zip(rows, labels):
+        assert np.array_equal(row, _amplitudes(twice_j, [gamma])[0])
+        assert np.array_equal(row, amplitudes_one_label(twice_j, gamma))
 
 
 @pytest.mark.parametrize("thetas", [1.1, np.array([[0.0], [0.4], [math.pi / 2], [2.9], [math.pi]])], ids=["scalar", "column"])

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -245,6 +246,27 @@ def test_fit_two_component_rejects_degenerate_labels():
     for pole in (0.0, math.inf):
         with pytest.raises(PoleLabel):
             fit_two_component(s, pole)
+
+
+@pytest.mark.parametrize("twice_j", [4, 40, 400])
+def test_a_label_within_rounding_of_a_pole_is_refused(twice_j):
+    # There the two components coincide to rounding, lstsq's rank is 1, and
+    # its minimum-norm split would read as a fidelity-1 cat with c+ = c-.
+    j = HalfInteger(twice_j)
+    for gamma in (1e-16, 1e-16j, 1e16, 1e200):
+        with pytest.raises(PoleLabel, match="two components differ"):
+            fit_two_component(quarter_period_evolve(coherent_expansion(j, gamma)), gamma)
+    # Four decades off the pole the fit holds and reads the cat identity's relative phase pi/2 + j pi.
+    fid, c_plus, c_minus = fit_two_component(quarter_period_evolve(coherent_expansion(j, 1e-12)), 1e-12)
+    assert fid == pytest.approx(1.0, abs=1e-10)
+    assert abs(cmath.phase(c_minus / c_plus / cmath.exp(1j * math.pi * (0.5 + twice_j / 2)))) <= 1e-12
+
+
+def test_cat_scan_reads_one_shot_iterables_once():
+    # A generator of omegas is read once, not used up by the first j.
+    want = cat_scan([HalfInteger(2), HalfInteger(4)], [0.0, 0.5])
+    got = cat_scan((HalfInteger(tj) for tj in (2, 4)), (omega for omega in [0.0, 0.5]))
+    assert len(got) == 4 and got == want
 
 
 def test_cat_scan_half_integer_rows():

@@ -118,13 +118,13 @@ def test_a_corrupted_jx_eigensystem_fails_its_check(monkeypatch, corrupt):
 
 def test_a_norm_drift_fails_the_constructed_norms_check(monkeypatch):
     # SpinState renormalizes a drift under 1e-9, so the check reads the amplitudes before it.
+    # coherent is the one module that reads the weights, so patching it reaches every route.
     weights = coherent._binomial_weights
 
     def drifted(*args):
         return weights(*args) * (1.0 + 1e-11)
 
     monkeypatch.setattr(coherent, "_binomial_weights", drifted)
-    monkeypatch.setattr(verify, "_binomial_weights", drifted)
     checks = _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))
     assert checks.pop("constructed norms") is False
     assert all(checks.values())
