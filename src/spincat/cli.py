@@ -25,13 +25,13 @@ import numpy as np
 
 from . import __version__
 from .coherent import BlochDirection, SpinorLabel, as_label, coherent_expansion, husimi_grid, stereographic
-from .dynamics import _two_component_label, cat_scan, fit_two_component, quarter_period_evolve
+from .dynamics import _quarter_period_cats, cat_scan
 from .errors import SpinCatError, StateFileError
 from .halfint import HalfInteger
 from .metrology import scaling_table
 from .schwinger import make_noon, noon_fidelity, off_support_mass
 from .statefile import load_spin_state, save_state
-from .verify import all_passed, run_suite, sections
+from .verify import all_passed, run_suite
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -170,14 +170,12 @@ def cmd_coherent(parser, args) -> int:
 
 
 def cmd_cat(parser, args) -> int:
-    label = _two_component_label(_resolve_label(parser, args))
-    j = HalfInteger(args.twice_j)
-    evolved = quarter_period_evolve(coherent_expansion(j, label), args.omega)
-    fid, c_plus, c_minus = fit_two_component(evolved, label)
+    label = _resolve_label(parser, args)
+    ((evolved, fid, c_plus, c_minus),) = _quarter_period_cats(HalfInteger(args.twice_j), label, [args.omega])
     save_state(evolved, args.out, {"kind": "quarter-period-cat", "omega": repr(args.omega), "gamma": repr(label.gamma)})
     _emit(
         {
-            "twice_j": j.twice_value,
+            "twice_j": args.twice_j,
             "omega": args.omega,
             "two_component_fidelity": fid,
             "coeff_plus": [c_plus.real, c_plus.imag],
@@ -260,7 +258,7 @@ def cmd_verify(parser, args) -> int:
         {
             "passed": all_passed(results),
             "max_twice_j": args.max_twice_j,
-            "sections": len(sections(results)),
+            "sections": len({r.section for r in results}),
             "checks": len(results),
             "failures": failures,
         }
@@ -317,6 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--max-twice-j", type=_int_at_least(0), default=60)
 
+    # A handler's parser.error names its subcommand, as argparse's own errors there do.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
     # The handler is looked up per call, so a rebound cmd_* is the one that runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        return handler(parser, args)
+        return handler(args.parser, args)
     except SystemExit as exc:  # parser.error inside a handler
         return int(exc.code or 0)
     except StateFileError as exc:

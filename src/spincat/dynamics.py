@@ -16,6 +16,12 @@ seen through a pi/2 x rotation, which only moves labels, so
 this two-label form (the components come out rotated by pi/2 in phi
 instead); `cat_scan` measures that case rather than asserting it.
 
+`_quarter_period_cats` is the one cat route behind `cat_scan`, the `cat`
+command and verify's cat section: it refuses a pole label, builds |j,gamma>
+and |j,-gamma> in one `_amplitudes` call (`_two_component_basis`), and per
+omega twists the first and fits the result onto both (`_fit`, which
+`fit_two_component` also runs).
+
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
 multiplies amplitudes by phases and builds no d x d complex unitary.
 `_rotated_identity_routes` applies the y twist as a function of Jy and
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CatDecomposition, _amplitudes, as_label, coherent_expansion, overlap, rotate_label
+from .coherent import CatDecomposition, _amplitudes, as_label, overlap, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
@@ -104,12 +110,29 @@ def _cat_fidelity(evolved: SpinState, gamma) -> float:
     return abs(overlap(evolved, predicted_cat(evolved.j, gamma).materialize()))
 
 
-def _two_component_label(gamma):
-    """The label of a cat of |gamma> and |-gamma>; raises `PoleLabel` at either pole, where they coincide."""
+def _two_component_basis(j: HalfInteger, gamma) -> np.ndarray:
+    """The d x 2 basis |j,gamma>, |j,-gamma> of a two-component cat, each column a SpinState's.
+
+    Both come from one `_amplitudes` call; column 0 is
+    `coherent_expansion(j, gamma).amplitudes` bit for bit.  Raises
+    `PoleLabel` at either pole, where they coincide, before any amplitude is built.
+    """
     label = as_label(gamma)
     if label.u_abs * label.v_abs == 0:
         raise PoleLabel(_POLE_REFUSAL)
-    return label
+    rows = _amplitudes(j.twice_value, [label, label.negated()])
+    return np.column_stack([SpinState(j, row).amplitudes for row in rows])
+
+
+def _fit(basis: np.ndarray, psi: np.ndarray) -> tuple[float, complex, complex]:
+    """(fidelity, c_plus, c_minus) of the least-squares fit of psi onto the basis' two columns.
+
+    Raises `PoleLabel` when the columns coincide to rounding (rank below 2).
+    """
+    coeffs, _, rank, _ = np.linalg.lstsq(basis, psi, rcond=None)
+    if rank < 2:
+        raise PoleLabel(_POLE_REFUSAL)
+    return float(np.linalg.norm(basis @ coeffs)), complex(coeffs[0]), complex(coeffs[1])
 
 
 def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]:
@@ -120,15 +143,20 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
     prediction route: nothing here assumes how `state` was produced.
     Raises `PoleLabel` where the components coincide: at or within rounding of either pole.
     """
-    label = _two_component_label(gamma)
-    # Each column is a SpinState's, as `coherent_expansion` gives it.
-    rows = _amplitudes(state.j.twice_value, [label, label.negated()])
-    basis = np.column_stack([SpinState(state.j, row).amplitudes for row in rows])
-    coeffs, _, rank, _ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
-    if rank < 2:
-        raise PoleLabel(_POLE_REFUSAL)
-    fid = float(np.linalg.norm(basis @ coeffs))
-    return fid, complex(coeffs[0]), complex(coeffs[1])
+    return _fit(_two_component_basis(state.j, gamma), state.amplitudes)
+
+
+def _quarter_period_cats(j: HalfInteger, gamma, omegas):
+    """Yield (state, fidelity, c_plus, c_minus) per omega: |j,gamma> twisted for a quarter period, and its fit.
+
+    The one cat route: the label is judged and |j,gamma>, |j,-gamma> are
+    built once, on the first item; each omega then costs a twist and a fit.
+    """
+    basis = _two_component_basis(j, gamma)
+    initial = SpinState(j, basis[:, 0])
+    for omega in omegas:
+        state = quarter_period_evolve(initial, omega)
+        yield (state, *_fit(basis, state.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -147,13 +175,12 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
     pass/fail contract; integer rows with cleared linear phase come out at
     fidelity 1, half-integer rows record whatever the fit finds; both lists may be any iterables.
     """
-    rows, omega_list = [], list(omega_list)
-    for j in j_list:
-        for omega in omega_list:
-            evolved = quarter_period_evolve(coherent_expansion(j, _two_component_label(gamma)), omega)
-            fid, c_plus, c_minus = fit_two_component(evolved, gamma)
-            rows.append(CatScanRow(j.twice_value, omega, fid, c_plus, c_minus))
-    return rows
+    omega_list = list(omega_list)
+    return [
+        CatScanRow(j.twice_value, omega, fid, c_plus, c_minus)
+        for j in j_list
+        for omega, (_, fid, c_plus, c_minus) in zip(omega_list, _quarter_period_cats(j, gamma, omega_list))
+    ]
 
 
 def rotated_cat_prediction(j: HalfInteger) -> SpinState:

@@ -32,7 +32,7 @@ from .coherent import (
     stereographic,
     BlochDirection,
 )
-from .dynamics import _cat_fidelity, _rotated_identity_routes, fit_two_component, quarter_period_evolve, rotated_cat_prediction
+from .dynamics import _cat_fidelity, _quarter_period_cats, _rotated_identity_routes, rotated_cat_prediction
 from .halfint import HalfInteger, m_values
 from .metrology import noon_signal, phase_uncertainty, quantum_fisher_information
 from .schwinger import (
@@ -180,12 +180,10 @@ def _cat_section(rng, max_twice_j: int):
     deficits, phases = [], []
     for jj in range(1, limit + 1):
         j = HalfInteger(2 * jj)
-        gammas = [1j, 1.0, complex(_random_gammas(rng, 1)[0])]
-        for g in gammas:
+        for g in [1j, 1.0, complex(_random_gammas(rng, 1)[0])]:
             # One evolution per (j, gamma) serves both the identity and the fit.
-            evolved = quarter_period_evolve(coherent_expansion(j, g))
+            ((evolved, _, c_plus, c_minus),) = _quarter_period_cats(j, g, [0.0])
             deficits.append(1.0 - _cat_fidelity(evolved, g))
-            _, c_plus, c_minus = fit_two_component(evolved, g)
             want = math.pi / 2.0 + jj * math.pi
             phases.append(abs(math.remainder(float(np.angle(c_minus / c_plus)) - want, 2 * math.pi)))
     yield _bound("cat-identity", f"fidelity, integer j<={limit}", deficits, 1e-10)
@@ -280,12 +278,3 @@ def run_suite(max_twice_j: int = 60, seed: int = 20260810) -> list[CheckResult]:
 
 def all_passed(results) -> bool:
     return all(r.passed for r in results)
-
-
-def sections(results) -> list[str]:
-    seen: list[str] = []
-    for r in results:
-        if r.section not in seen:
-            seen.append(r.section)
-    return seen
-

@@ -3,19 +3,22 @@ every benchmark workload under its tracer and the installed `spincat
 verify` entry point; the pytest configuration lets a failing property
 test be reported without ending the session; no package or test
 module keeps an import it does not read; the package reads every
-module-level private name it defines; and the README's Layout block names
-every package module.
+module-level private name it defines; the README's Layout block names
+every package module; and every `spincat` command in the README parses.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
 import ast
 import re
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from spincat import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -119,3 +122,18 @@ def test_readme_layout_names_every_package_module():
     listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
     modules = {path.name for path in (ROOT / "src" / "spincat").glob("*.py")} - {"__init__.py"}
     assert modules <= listed, sorted(modules - listed)
+
+
+def test_readme_commands_parse():
+    # An option renamed or dropped in the CLI must not live on in the README's examples.
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("spincat ")]
+    assert lines, "no spincat command found: the walk above is broken"
+    parser = cli.build_parser()
+    for line in lines:
+        _, *argv = shlex.split(line, comments=True)
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

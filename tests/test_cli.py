@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from _oracles import csv_text
 from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
-from spincat import cli, dynamics
+from spincat import cli, coherent, dynamics
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
 from spincat.verify import _algebra_section
@@ -430,7 +430,7 @@ def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, monkeypatch,
         raise AssertionError("a refused label was expanded")
 
     monkeypatch.setattr(cli, "coherent_expansion", expand)
-    monkeypatch.setattr(dynamics, "coherent_expansion", expand)
+    monkeypatch.setattr(dynamics, "_amplitudes", expand)
     for argv in (("cat", "--twice-j", "20000", "--out", str(tmp_path / "o.json")), ("scan", "--twice-j-list", "20000")):
         rc, out, err = run(capsys, *argv, f"--gamma={gamma}")
         assert (rc, out, err) == (2, "", "error: need a label off the poles so the two components differ\n")
@@ -438,6 +438,46 @@ def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, monkeypatch,
     # No row needs the fit, so an empty scan writes its header and succeeds.
     rc, out, _ = run(capsys, "scan", "--twice-j-list", ",", f"--gamma={gamma}")
     assert (rc, out) == (0, "twice_j,omega,fidelity,coeff_plus_re,coeff_plus_im,coeff_minus_re,coeff_minus_im\n")
+
+
+def test_a_cat_call_builds_its_two_components_once(tmp_path, capsys, monkeypatch):
+    # |j,gamma> and |j,-gamma> come from one _amplitudes call per scan or cat,
+    # however many omegas follow.
+    amplitudes, calls = coherent._amplitudes, []
+
+    def counting(twice_j, labels):
+        calls.append(twice_j)
+        return amplitudes(twice_j, labels)
+
+    monkeypatch.setattr(coherent, "_amplitudes", counting)
+    monkeypatch.setattr(dynamics, "_amplitudes", counting)
+    assert len(cat_scan([HalfInteger(400)], np.linspace(0.0, 0.9, 10))) == 10
+    assert calls == [400]
+    calls.clear()
+    rc, _, err = run(capsys, "cat", "--twice-j", "400", "--gamma", "0+1i", "--out", str(tmp_path / "c.json"))
+    assert (rc, err, calls) == (0, "", [400])
+
+
+@pytest.mark.parametrize("command", ["coherent", "cat"])
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        (("--theta", "nan"), "theta=nan outside [0, pi]"),
+        (("--theta", "4"), "theta=4.0 outside [0, pi]"),
+        (("--theta", "1", "--phi", "inf"), "phi must be finite"),
+        (("--theta", "1", "--gamma", "0+1i"), "give exactly one of --theta [--phi] or --gamma"),
+        ((), "give exactly one of --theta [--phi] or --gamma"),
+    ],
+    ids=["theta-nan", "theta-4", "phi-inf", "both", "neither"],
+)
+def test_a_label_error_names_its_subcommand(tmp_path, capsys, command, label, message):
+    # Like argparse's own errors in a subcommand: its usage, then "spincat <cmd>: error:".
+    rc, out, err = run(capsys, command, "--twice-j", "4", *label, "--out", str(tmp_path / "o.json"))
+    lines = err.splitlines()
+    assert (rc, out) == (2, "")
+    assert lines[0].startswith(f"usage: spincat {command} ")
+    assert lines[-1] == f"spincat {command}: error: {message}"
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize(

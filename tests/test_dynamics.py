@@ -35,7 +35,7 @@ from spincat import (
     weight_state,
 )
 from spincat import su2
-from spincat.dynamics import _cat_fidelity, _rotated_identity_routes
+from spincat.dynamics import CatScanRow, _cat_fidelity, _quarter_period_cats, _rotated_identity_routes
 from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
@@ -224,9 +224,9 @@ def test_cat_relative_phase():
         assert abs(math.remainder(np.angle(c_minus / c_plus) - want, 2 * math.pi)) < 1e-8
 
 
-@pytest.mark.parametrize("twice_j", [1, 2, 24, 1029, 1030, 2000])
+@pytest.mark.parametrize("twice_j", [1, 2, 24, 64, 65, 1029, 1030, 2000])
 def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
-    # 1030 and 2000 take the log-space binomials.
+    # 64 keeps its binomial table and 65 builds it afresh; 1030 and 2000 take the log-space binomials.
     j = HalfInteger(twice_j)
     rng = np.random.default_rng(twice_j)
     noise = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
@@ -239,6 +239,16 @@ def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
             coeffs, *_ = np.linalg.lstsq(basis, state.amplitudes, rcond=None)
             want = (float(np.linalg.norm(basis @ coeffs)), complex(coeffs[0]), complex(coeffs[1]))
             assert fit_two_component(state, gamma) == want
+    # The one cat route gives the bits of the composition it replaced: expand, twist, then fit.
+    omegas = [0.0, -0.0, 0.3]
+    for gamma in (1j, 0.3 + 0.8j, -1.7 + 0.2j, -0.4 - 2.5j):
+        rows = cat_scan([j], omegas, gamma)
+        for omega, row, (state, *fit) in zip(omegas, rows, _quarter_period_cats(j, gamma, omegas), strict=True):
+            evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
+            want = fit_two_component(evolved, gamma)
+            assert state.amplitudes.tobytes() == evolved.amplitudes.tobytes()
+            assert tuple(fit) == want
+            assert row == CatScanRow(twice_j, omega, *want)
 
 
 def test_fit_two_component_rejects_degenerate_labels():
