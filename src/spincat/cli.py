@@ -171,7 +171,7 @@ def cmd_coherent(parser, args) -> int:
 
 def cmd_cat(parser, args) -> int:
     label = _resolve_label(parser, args)
-    ((evolved, fid, c_plus, c_minus),) = _quarter_period_cats(HalfInteger(args.twice_j), label, [args.omega])
+    ((evolved, fid, c_plus, c_minus, _),) = _quarter_period_cats(HalfInteger(args.twice_j), label, [args.omega])
     save_state(evolved, args.out, {"kind": "quarter-period-cat", "omega": repr(args.omega), "gamma": repr(label.gamma)})
     _emit(
         {

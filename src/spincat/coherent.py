@@ -81,10 +81,15 @@ class SpinorLabel:
 
 
 def as_label(gamma) -> SpinorLabel:
-    """Coerce a complex number (infinite: the pole) or label to a SpinorLabel."""
+    """Coerce a complex number (infinite: the pole) or label to a SpinorLabel.
+
+    A gamma with a NaN part names no point, not even the pole, and raises ValueError.
+    """
     if isinstance(gamma, SpinorLabel):
         return gamma
     g = complex(gamma)
+    if cmath.isnan(g):
+        raise ValueError(f"gamma={g} has a NaN part")
     if math.isinf(abs(g)):
         return SpinorLabel(0.0, 1.0, 0j, 1 + 0j)
     half = math.atan(abs(g))
@@ -122,10 +127,13 @@ def rotate_label(label, axis: str, angle: float) -> SpinorLabel:
     (cu - isv, -isu + cv) and y to (cu + sv, -su + cv): the spin-1/2
     rotation, which the expansion carries to every j exactly, global phase
     included (it agrees with `su2.rotate`).  At angle +-pi/2, c = |s|
-    exactly, so a rotated pole rotates back onto the pole exactly.
+    exactly, so a rotated pole rotates back onto the pole exactly.  A
+    non-finite angle raises ValueError.
     """
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle {angle} is not finite")
     label = as_label(label)
     u, v = _along(label.u_abs, label.u_dir), _along(label.v_abs, label.v_dir)
     if abs(angle) == math.pi / 2.0:  # cos(pi/4) and sin(pi/4) round an ulp apart

@@ -20,7 +20,9 @@ instead); `cat_scan` measures that case rather than asserting it.
 command and verify's cat section: it refuses a pole label, builds |j,gamma>
 and |j,-gamma> in one `_amplitudes` call (`_two_component_basis`), and per
 omega twists the first and fits the result onto both (`_fit`, which
-`fit_two_component` also runs).
+`fit_two_component` also runs).  It hands that basis to its caller, so
+verify reads `predicted_cat`'s two coefficients on the columns the fit read
+and builds no coherent state of its own.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
 multiplies amplitudes by phases and builds no d x d complex unitary.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import CatDecomposition, _amplitudes, as_label, overlap, rotate_label
+from .coherent import CatDecomposition, _amplitudes, as_label, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
@@ -83,16 +85,10 @@ def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
     return SpinState(state.j, _quarter_phases(state.j, omega, m_values(state.j)) * state.amplitudes)
 
 
-def _require_integer(j: HalfInteger):
-    if not j.is_integer:
-        raise HalfIntegerUnsupported(
-            f"j={j} is half-odd-integer; use cat_scan for the exploratory case"
-        )
-
-
 def predicted_cat(j: HalfInteger, gamma) -> CatDecomposition:
     """The two-component decomposition produced by a quarter period (integer j)."""
-    _require_integer(j)
+    if not j.is_integer:
+        raise HalfIntegerUnsupported(f"j={j} is half-odd-integer; use cat_scan for the exploratory case")
     label = as_label(gamma)
     sign = -1.0 if (j.twice_value // 2) % 2 else 1.0
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -103,11 +99,6 @@ def predicted_cat(j: HalfInteger, gamma) -> CatDecomposition:
             (label.negated(), sign * inv_sqrt2 * np.exp(1j * math.pi / 4.0)),
         ),
     )
-
-
-def _cat_fidelity(evolved: SpinState, gamma) -> float:
-    """|<evolved | predicted_cat(j, gamma)>| for a quarter-period state."""
-    return abs(overlap(evolved, predicted_cat(evolved.j, gamma).materialize()))
 
 
 def _two_component_basis(j: HalfInteger, gamma) -> np.ndarray:
@@ -147,16 +138,18 @@ def fit_two_component(state: SpinState, gamma) -> tuple[float, complex, complex]
 
 
 def _quarter_period_cats(j: HalfInteger, gamma, omegas):
-    """Yield (state, fidelity, c_plus, c_minus) per omega: |j,gamma> twisted for a quarter period, and its fit.
+    """Yield (state, fidelity, c_plus, c_minus, basis) per omega: |j,gamma> twisted for a quarter period, and its fit.
 
     The one cat route: the label is judged and |j,gamma>, |j,-gamma> are
     built once, on the first item; each omega then costs a twist and a fit.
+    Every item carries that one d x 2 `basis`, the columns the coefficients
+    refer to, so a caller reads a prediction on it instead of building it again.
     """
     basis = _two_component_basis(j, gamma)
     initial = SpinState(j, basis[:, 0])
     for omega in omegas:
         state = quarter_period_evolve(initial, omega)
-        yield (state, *_fit(basis, state.amplitudes))
+        yield (state, *_fit(basis, state.amplitudes), basis)
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ def cat_scan(j_list, omega_list, gamma=1j) -> list[CatScanRow]:
     return [
         CatScanRow(j.twice_value, omega, fid, c_plus, c_minus)
         for j in j_list
-        for omega, (_, fid, c_plus, c_minus) in zip(omega_list, _quarter_period_cats(j, gamma, omega_list))
+        for omega, (_, fid, c_plus, c_minus, _) in zip(omega_list, _quarter_period_cats(j, gamma, omega_list))
     ]
 
 

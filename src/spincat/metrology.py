@@ -81,10 +81,13 @@ class ScalingRow:
 
 
 def scaling_table(n_list) -> list[ScalingRow]:
-    """1/N versus the 1/sqrt(N) shot-noise reference, plus the probe QFI."""
-    rows = []
-    for n in map(int, n_list):
-        probe = NoonState(n, 0.0).to_two_mode()
-        delta_phi, qfi = error_propagation_uncertainty(probe), quantum_fisher_information(probe)
-        rows.append(ScalingRow(n, delta_phi, 1.0 / math.sqrt(n), qfi))
-    return rows
+    """1/N versus the 1/sqrt(N) shot-noise reference, plus the probe QFI.
+
+    Each N goes to `NoonState` as given, so it is refused by the package's
+    one size rule (`InvalidN` for a bool, a float or N < 1).
+    """
+    probes = [NoonState(n, 0.0).to_two_mode() for n in n_list]
+    return [
+        ScalingRow(p.n_total, error_propagation_uncertainty(p), 1.0 / math.sqrt(p.n_total), quantum_fisher_information(p))
+        for p in probes
+    ]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import StateFileError
 from .halfint import HalfInteger
-from .schwinger import TwoModeState
+from .schwinger import TwoModeState, _size
 from .su2 import SpinState
 
 SPIN_SCHEMA = "spin-state/1"
@@ -78,10 +78,7 @@ def load_state(path):
         key = "n_total"
     else:
         raise StateFileError(f"unknown schema_version: {schema!r}")
-    size = doc.get(key)
-    # type(), not isinstance(): JSON true is a bool, and bool subclasses int.
-    if type(size) is not int or size < 0:
-        raise StateFileError(f"bad {key}: {size!r}")
+    size = _size(doc.get(key), 0, StateFileError, key)
     amps = _parse_amplitudes(doc, size + 1)
     try:
         # An entry past ~1e154 overflows the squared norm, which refuses it;

@@ -271,5 +271,10 @@ def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
 
 
 def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
-    """exp(-i angle J_axis) |state> for axis 'x' or 'y', by `_apply_function`."""
+    """exp(-i angle J_axis) |state> for axis 'x' or 'y', by `_apply_function`.
+
+    A non-finite angle raises ValueError before any phase is formed.
+    """
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle {angle} is not finite")
     return SpinState(state.j, _apply_function(state.j, axis, lambda w: np.exp(-1j * angle * w), state.amplitudes))

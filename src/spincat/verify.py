@@ -11,7 +11,9 @@ Jx's kept eigenvectors (`su2._jx_eigensystem`) by Jx V = V diag(m) with Jx
 applied as its band in O(d^2), the Fock sector from its own band.  The
 coherent rotation (a y rotation of |j,-j>) and the rotated identity, which
 only this module checks, are products with V (`su2._apply_function`), so no
-check exponentiates a matrix or forms a d x d complex product.
+check exponentiates a matrix or forms a d x d complex product.  The cat
+identity reads `predicted_cat`'s two coefficients on the d x 2 basis the cat
+route built for its fit, so each (j, gamma) costs one `_amplitudes` call.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from .coherent import (
     stereographic,
     BlochDirection,
 )
-from .dynamics import _cat_fidelity, _quarter_period_cats, _rotated_identity_routes, rotated_cat_prediction
+from .dynamics import _quarter_period_cats, _rotated_identity_routes, predicted_cat, rotated_cat_prediction
 from .halfint import HalfInteger, m_values
 from .metrology import noon_signal, phase_uncertainty, quantum_fisher_information
 from .schwinger import (
@@ -181,9 +183,12 @@ def _cat_section(rng, max_twice_j: int):
     for jj in range(1, limit + 1):
         j = HalfInteger(2 * jj)
         for g in [1j, 1.0, complex(_random_gammas(rng, 1)[0])]:
-            # One evolution per (j, gamma) serves both the identity and the fit.
-            ((evolved, _, c_plus, c_minus),) = _quarter_period_cats(j, g, [0.0])
-            deficits.append(1.0 - _cat_fidelity(evolved, g))
+            # One build of |j,g>, |j,-g> and one evolution per (j, gamma) serve
+            # both the identity and the fit: the prediction is read on the
+            # route's basis, summed as `CatDecomposition.materialize` sums it.
+            ((evolved, _, c_plus, c_minus, basis),) = _quarter_period_cats(j, g, [0.0])
+            (_, p_plus), (_, p_minus) = predicted_cat(j, g).components
+            deficits.append(1.0 - fidelity(evolved, SpinState(j, p_plus * basis[:, 0] + p_minus * basis[:, 1])))
             want = math.pi / 2.0 + jj * math.pi
             phases.append(abs(math.remainder(float(np.angle(c_minus / c_plus)) - want, 2 * math.pi)))
     yield _bound("cat-identity", f"fidelity, integer j<={limit}", deficits, 1e-10)

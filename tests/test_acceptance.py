@@ -29,6 +29,7 @@ from spincat import (
     noon_signal,
     off_support_mass,
     phase_uncertainty,
+    predicted_cat,
     quantum_fisher_information,
     quarter_period_evolve,
     spin_to_fock,
@@ -39,7 +40,7 @@ from spincat import (
 )
 from spincat.cli import main
 from spincat.coherent import _rotated_lowest
-from spincat.dynamics import _cat_fidelity, _rotated_identity_routes
+from spincat.dynamics import _rotated_identity_routes
 from spincat.statefile import load_spin_state, save_state
 
 RNG_SEED = 20260810
@@ -121,7 +122,7 @@ def test_criterion_3_cat_identity():
         random_g = rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         for g in (1j, 1.0, random_g):
             evolved = quarter_period_evolve(coherent_expansion(j, g))
-            worst_fid = min(worst_fid, _cat_fidelity(evolved, g))
+            worst_fid = min(worst_fid, fidelity(evolved, predicted_cat(evolved.j, g).materialize()))
             _, c_plus, c_minus = fit_two_component(evolved, g)
             err = abs(
                 math.remainder(

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from _oracles import csv_text
 from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
-from spincat import cli, coherent, dynamics
+from spincat import cli, coherent, dynamics, verify
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
-from spincat.verify import _algebra_section
+from spincat.verify import _algebra_section, _cat_section, run_suite
 
 
 def run(capsys, *argv):
@@ -185,6 +185,10 @@ def test_husimi_input_errors(tmp_path, capsys):
     bad.write_text("{}")
     rc, _, _ = run(capsys, "husimi", "--in", str(bad))
     assert rc == 3
+    # A bad size is named by the package's one size rule.
+    bad.write_text('{"schema_version": "spin-state/1", "twice_j": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
+    rc, out, err = run(capsys, "husimi", "--in", str(bad))
+    assert (rc, out, err) == (3, "", "state file error: twice_j must be an integer >= 0, got True\n")
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e200"])
@@ -257,6 +261,40 @@ def test_verify_small_run_passes(capsys):
     lines = err.splitlines()
     assert len(lines) == info["checks"]
     assert all(re.fullmatch(r"\[PASS\] [\w-]+: .+  worst \S+ \([<>]= \S+\)", ln) for ln in lines)
+
+
+# What `spincat verify --max-twice-j 60` reports, in order: a check that is
+# dropped, renamed or moved shows here, not only in the count.
+VERIFY_REPORT_60 = [
+    ("algebra", "commutators on the ladder band, 2j<=60"),
+    ("algebra", "casimir diagonal = j(j+1)"),
+    ("algebra", "Jx eigensystem, 2j<=60"),
+    ("coherent", "rotation vs expansion, 2j<=30"),
+    ("coherent", "constructed norms"),
+    ("coherent", "stereographic round trip"),
+    ("coherent", "pole and origin support"),
+    ("coherent", "equatorial antipodality"),
+    ("cat-identity", "fidelity, integer j<=30"),
+    ("cat-identity", "relative phase pi/2 + j*pi"),
+    ("rotated-identity", "both routes vs prediction, j<=30"),
+    ("schwinger", "mode-operator residuals, 2j<=40"),
+    ("schwinger", "extremal mapping and round trip"),
+    ("noon-pipeline", "fidelity, even N<=60, both routes"),
+    ("noon-pipeline", "off-support mass"),
+    ("metrology", "N * delta_phi = 1, N<=100"),
+    ("metrology", "pipeline QFI = N^2, even N<=60"),
+    ("metrology", "fringe frequency = N"),
+    ("metrology", "Cramer-Rao consistency"),
+]
+
+
+def test_verify_report_shape_is_pinned(capsys):
+    rc, stdout, err = run(capsys, "verify", "--max-twice-j", "60")
+    info = last_json(stdout)
+    assert (rc, info["passed"], info["sections"], info["checks"]) == (0, True, 7, 19)
+    printed = [re.fullmatch(r"\[PASS\] (.+?): (.+?) +worst \S+ \(<= \S+\)", ln).groups() for ln in err.splitlines()]
+    assert printed == VERIFY_REPORT_60
+    assert [(r.section, r.name) for r in run_suite(60)] == VERIFY_REPORT_60
 
 
 @pytest.mark.parametrize("max_twice_j", [128, 200])
@@ -456,6 +494,12 @@ def test_a_cat_call_builds_its_two_components_once(tmp_path, capsys, monkeypatch
     calls.clear()
     rc, _, err = run(capsys, "cat", "--twice-j", "400", "--gamma", "0+1i", "--out", str(tmp_path / "c.json"))
     assert (rc, err, calls) == (0, "", [400])
+    # verify's cat identity reads its prediction on the route's basis: one
+    # call per (j, gamma), three gammas for each even 2j up to 60.
+    calls.clear()
+    monkeypatch.setattr(verify, "_amplitudes", counting)
+    assert all(r.passed for r in _cat_section(np.random.default_rng(0), 60))
+    assert calls == [tj for tj in range(2, 61, 2) for _ in range(3)]
 
 
 @pytest.mark.parametrize("command", ["coherent", "cat"])

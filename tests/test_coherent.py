@@ -165,6 +165,28 @@ def test_spinor_label_gamma_and_negation():
         rotate_label(pole, "z", 1.0)
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [complex(math.inf, math.nan), complex(math.nan, math.inf), complex(math.nan, 0.0)],
+    ids=["inf-nan", "nan-inf", "nan-0"],
+)
+def test_a_gamma_with_a_nan_part_is_refused_not_read_as_the_pole(gamma):
+    # abs() of the first two is inf, which once gave the pole label and |j,+j>.
+    with pytest.raises(ValueError, match="has a NaN part"):
+        as_label(gamma)
+    with pytest.raises(ValueError, match="has a NaN part"):
+        coherent_expansion(HalfInteger(2), gamma)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rotate_label_refuses_a_non_finite_angle(axis, angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not finite"):
+            rotate_label(0.3 + 0.4j, axis, angle)
+
+
 def test_rotation_rejects_pole():
     with pytest.raises(PoleLabel):
         _rotated_lowest(HalfInteger(2), [as_label(math.inf)])

@@ -35,7 +35,7 @@ from spincat import (
     weight_state,
 )
 from spincat import su2
-from spincat.dynamics import CatScanRow, _cat_fidelity, _quarter_period_cats, _rotated_identity_routes
+from spincat.dynamics import CatScanRow, _quarter_period_cats, _rotated_identity_routes
 from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
@@ -203,16 +203,18 @@ def test_predicted_cat_coefficients():
     [(2, 1j, 1e-12), (14, 1j, 1e-10), (24, 0.3 + 0.4j, 1e-10), (8, 1.0, 1e-10)],
 )
 def test_cat_identity_fidelity(tj, g, tol):
-    assert _cat_fidelity(quarter_period_evolve(coherent_expansion(HalfInteger(tj), g)), g) >= 1 - tol
+    evolved = quarter_period_evolve(coherent_expansion(HalfInteger(tj), g))
+    assert fidelity(evolved, predicted_cat(evolved.j, g).materialize()) >= 1 - tol
 
 
 def test_cat_identity_gate():
+    evolved = quarter_period_evolve(coherent_expansion(HalfInteger(3), 1j))
     with pytest.raises(HalfIntegerUnsupported):
-        _cat_fidelity(quarter_period_evolve(coherent_expansion(HalfInteger(3), 1j)), 1j)
+        fidelity(evolved, predicted_cat(evolved.j, 1j).materialize())
     # The identity holds wherever the linear phase clears: j=3, omega=2/3
     # gives omega * tau/4 = 2 pi exactly
     evolved = quarter_period_evolve(coherent_expansion(HalfInteger(6), 1j), 2.0 / 3.0)
-    assert _cat_fidelity(evolved, 1j) >= 1 - 1e-10
+    assert fidelity(evolved, predicted_cat(evolved.j, 1j).materialize()) >= 1 - 1e-10
 
 
 def test_cat_relative_phase():
@@ -243,11 +245,14 @@ def test_fit_two_component_bit_identical_to_two_expansions(twice_j):
     omegas = [0.0, -0.0, 0.3]
     for gamma in (1j, 0.3 + 0.8j, -1.7 + 0.2j, -0.4 - 2.5j):
         rows = cat_scan([j], omegas, gamma)
-        for omega, row, (state, *fit) in zip(omegas, rows, _quarter_period_cats(j, gamma, omegas), strict=True):
+        for omega, row, (state, *fit, basis) in zip(omegas, rows, _quarter_period_cats(j, gamma, omegas), strict=True):
             evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
             want = fit_two_component(evolved, gamma)
             assert state.amplitudes.tobytes() == evolved.amplitudes.tobytes()
             assert tuple(fit) == want
+            # Each item carries the basis the fit read: |j,gamma>, |j,-gamma> as expanded.
+            for column, g in zip(basis.T, (gamma, -gamma)):
+                assert column.tobytes() == coherent_expansion(j, g).amplitudes.tobytes()
             assert row == CatScanRow(twice_j, omega, *want)
 
 

@@ -206,6 +206,11 @@ def test_cramer_rao_consistency(n):
     assert phase_uncertainty(n) >= bound - 1e-9
 
 
+def test_scaling_table_takes_numpy_ints_and_reports_the_probe_n():
+    (row,) = scaling_table([np.int64(4)])
+    assert type(row.n_total) is int and row == scaling_table([4])[0]
+
+
 def test_scaling_table_frozen_rows():
     rows = {r.n_total: r for r in scaling_table([4, 16, 64])}
     assert rows[4].delta_phi_noon == pytest.approx(0.25, abs=1e-12)

@@ -15,6 +15,7 @@ from spincat import (
     make_noon,
     noon_fidelity,
     off_support_mass,
+    scaling_table,
     spin_to_fock,
     verify_schwinger_realization,
     weight_state,
@@ -140,8 +141,10 @@ def test_make_noon_validation():
         (lambda: TwoModeState(True, [1, 0]), ValueError),
         (lambda: NoonState(True), InvalidN),
         (lambda: make_noon(True), InvalidN),
+        (lambda: scaling_table([True]), InvalidN),
+        (lambda: scaling_table([2.7]), InvalidN),
     ],
-    ids=["TwoModeState", "NoonState", "make_noon"],
+    ids=["TwoModeState", "NoonState", "make_noon", "scaling_table-bool", "scaling_table-float"],
 )
 def test_bool_size_is_refused(build, error):
     with pytest.raises(error):

@@ -92,6 +92,16 @@ def test_malformed_documents(tmp_path, mutate):
         load_state(path)
 
 
+@pytest.mark.parametrize("schema, key", [(SPIN_SCHEMA, "twice_j"), (TWO_MODE_SCHEMA, "n_total")])
+@pytest.mark.parametrize("size", [True, 2.0, "2", None, -1], ids=["bool", "float", "string", "null", "negative"])
+def test_a_bad_size_is_refused_by_the_one_size_rule(tmp_path, schema, key, size):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"schema_version": schema, key: size, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+    with pytest.raises(StateFileError) as info:
+        load_state(path)
+    assert str(info.value) == f"{key} must be an integer >= 0, got {size!r}"
+
+
 def test_not_json(tmp_path):
     path = tmp_path / "s.json"
     path.write_text("not json at all {")

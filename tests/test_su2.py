@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from pathlib import Path
 
@@ -435,6 +436,16 @@ def test_a_column_of_functions_is_one_rotation_per_column(axis):
 def test_rotate_rejects_other_axes():
     with pytest.raises(ValueError):
         rotate(weight_state(HalfInteger(2), 0), "z", 1.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_rotate_refuses_a_non_finite_angle(axis, angle):
+    # Refused up front: no RuntimeWarning from the phases comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="is not finite"):
+            rotate(weight_state(HalfInteger(4), 2), axis, angle)
 
 
 def test_import_loads_no_scipy():

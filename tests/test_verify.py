@@ -231,8 +231,8 @@ def _fidelity_check(section):
 # (the name verify reads a fidelity through, a fake returning fidelity f, the section)
 FIDELITY_CHECKS = [
     pytest.param(
-        "_cat_fidelity",
-        lambda f: lambda evolved, g: f,
+        "fidelity",
+        lambda f: lambda evolved, prediction: f,
         lambda: _cat_section(np.random.default_rng(1), MAX_TJ),
         id="cat",
     ),
