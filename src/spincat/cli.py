@@ -17,7 +17,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import os
 import sys
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import __version__
 from .coherent import BlochDirection, SpinorLabel, as_label, coherent_expansion, husimi_grid, stereographic
 from .dynamics import _quarter_period_cats, cat_scan
-from .errors import SpinCatError, StateFileError
+from .errors import SpinCatError, StateFileError, _finite, _size
 from .halfint import HalfInteger
 from .metrology import scaling_table
 from .schwinger import make_noon, noon_fidelity, off_support_mass
@@ -86,9 +85,7 @@ def _int_at_least(lo: int):
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
-        if value + 1 > _MAX_LENGTH:
+        if _size(value, lo, argparse.ArgumentTypeError, "value") + 1 > _MAX_LENGTH:
             raise argparse.ArgumentTypeError(f"must be < {_MAX_LENGTH}, got {value}")
         return value
 
@@ -100,9 +97,7 @@ def _finite_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return value
+    return _finite(value, argparse.ArgumentTypeError, "value")
 
 
 def _list_of(parse):

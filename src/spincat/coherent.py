@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrrepMismatch, PoleLabel
+from .errors import IrrepMismatch, PoleLabel, _choice, _finite, _size
 from .halfint import HalfInteger, m_values
 from .su2 import SpinState, _apply_function, _ladder, _per_twice_j
 
@@ -38,9 +38,8 @@ class BlochDirection:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta={self.theta} outside [0, pi]")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
-        object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
+        _finite(self.theta, ValueError, "theta")  # a bool passes the range test
+        object.__setattr__(self, "phi", _finite(self.phi, ValueError, "phi") % (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,11 @@ def rotate_label(label, axis: str, angle: float) -> SpinorLabel:
     (cu - isv, -isu + cv) and y to (cu + sv, -su + cv): the spin-1/2
     rotation, which the expansion carries to every j exactly, global phase
     included (it agrees with `su2.rotate`).  At angle +-pi/2, c = |s|
-    exactly, so a rotated pole rotates back onto the pole exactly.  A
-    non-finite angle raises ValueError.
+    exactly, so a rotated pole rotates back onto the pole exactly.  An
+    angle that is not a finite real raises ValueError.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle {angle} is not finite")
+    _choice(axis, ("x", "y"), "axis")
+    _finite(angle, ValueError, "rotation angle")
     label = as_label(label)
     u, v = _along(label.u_abs, label.u_dir), _along(label.v_abs, label.v_dir)
     if abs(angle) == math.pi / 2.0:  # cos(pi/4) and sin(pi/4) round an ulp apart
@@ -279,10 +276,10 @@ def husimi_grid(state: SpinState, n_theta: int, n_phi: int):
 
     Returns (thetas, phis, q) with thetas = linspace(0, pi, n_theta),
     phis = linspace(0, 2pi, n_phi, endpoint=False) and
-    q[i, k] = |<j, gamma(theta_i, phi_k) | state>|^2 in [0, 1].
+    q[i, k] = |<j, gamma(theta_i, phi_k) | state>|^2 in [0, 1].  Raises
+    ValueError unless n_theta is an int >= 2 and n_phi an int >= 1.
     """
-    if n_theta < 2 or n_phi < 1:
-        raise ValueError("grid needs n_theta >= 2 and n_phi >= 1")
+    n_theta, n_phi = _size(n_theta, 2, ValueError, "n_theta"), _size(n_phi, 1, ValueError, "n_phi")
     tj = state.j.twice_value
     thetas = np.linspace(0.0, math.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import CatDecomposition, _amplitudes, as_label, rotate_label
-from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin
+from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin, _choice, _finite
 from .halfint import HalfInteger, m_values
 from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
 
@@ -54,9 +54,9 @@ def _quarter_period(j: HalfInteger) -> float:
 
 
 def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> SpinOperator:
-    """omega * J_a + J_a^2 / 2j for a = axis, z or y."""
-    if axis not in ("z", "y"):
-        raise ValueError(f"axis must be 'z' or 'y', got {axis!r}")
+    """omega * J_a + J_a^2 / 2j for a = axis, z or y; ValueError for an omega that is not a finite real."""
+    _choice(axis, ("z", "y"), "axis")
+    _finite(omega, ValueError, "omega")
     _quarter_period(j)  # raises ZeroSpin at j = 0
     gen = (jz if axis == "z" else jy)(j).matrix
     return SpinOperator(j, omega * gen + (1.0 / j.twice_value) * gen @ gen)
@@ -65,11 +65,13 @@ def kerr_hamiltonian(j: HalfInteger, omega: float = 0.0, axis: str = "z") -> Spi
 def _quarter_phases(j: HalfInteger, omega: float, m: np.ndarray) -> np.ndarray:
     """exp(-i h tau/4), h = omega m + m^2 / 2j, over the eigenvalues m of J_a.
 
-    An omega so large that this phase overflows raises `NonFinitePhase`.
+    An omega that is not a finite real raises `NonFinitePhase` before any
+    phase is formed, and so does a finite omega so large that the phase
+    overflows.
     """
     quarter = _quarter_period(j)
     with np.errstate(over="ignore", invalid="ignore"):
-        h = omega * m + (1.0 / j.twice_value) * (m * m)
+        h = _finite(omega, NonFinitePhase, "omega") * m + (1.0 / j.twice_value) * (m * m)
         phase = -1j * h * quarter
     if not np.isfinite(phase).all():
         raise NonFinitePhase(f"omega={omega} makes the quarter-period phase overflow at j={j}")
@@ -80,7 +82,8 @@ def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
     """Evolve `state` for one quarter period of the axis-z twist.
 
     The evolution is diagonal, so its phases multiply the amplitudes
-    elementwise; an overflowing phase raises `NonFinitePhase`.
+    elementwise; an omega that is not finite, or whose phase overflows,
+    raises `NonFinitePhase`.
     """
     return SpinState(state.j, _quarter_phases(state.j, omega, m_values(state.j)) * state.amplitudes)
 

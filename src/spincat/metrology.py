@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidN
+from .errors import InvalidN, _finite, _size
 from .schwinger import NoonState, TwoModeState
 
 
@@ -28,12 +28,10 @@ def noon_signal(n_total: int, phi0: float, phi: float | np.ndarray) -> float | n
     """<A> on NoonState(n_total, phi0) after a shift by phi; cos(N phi + 2 phi0).
 
     A float phi gives a float; an array gives an array of its shape.
-    Raises ValueError if any phi is not finite.
+    Raises ValueError if any phi is not a finite real.
     """
     probe = NoonState(n_total, phi0).to_two_mode()
-    phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
-        raise ValueError("phase shift has non-finite entries")
+    phi = np.asarray(_finite(phi, ValueError, "phase shift"), dtype=float)
     # the shift turns top into top e^{-i N phi} and leaves bottom alone
     top = probe.amplitudes[-1] * np.exp(-1j * phi * probe.n_total)
     mean = 2.0 * (np.conj(top) * probe.amplitudes[0]).real
@@ -48,9 +46,7 @@ def error_propagation_uncertainty(state: TwoModeState) -> float:
     N delta_phi >= 5e7: a zero extreme, or the ~1e-16 rounding residue one
     extreme of the odd-N pipeline state holds.
     """
-    n = state.n_total
-    if n < 1:
-        raise InvalidN("the N00N fringe needs N >= 1")
+    n = _size(state.n_total, 1, InvalidN, "N")
     top, bottom = abs(state.amplitudes[-1]), abs(state.amplitudes[0])
     spread = math.sqrt(top**2 + bottom**2)
     if spread >= 1e8 * top * bottom:

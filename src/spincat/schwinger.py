@@ -5,28 +5,24 @@ space is built only on the fixed-N sector (dimension N + 1, amplitudes
 indexed by n_a = 0..N with n_b = N - n_a).  The weight basis of spin
 j = N/2 maps onto that sector by |j,m>_z = |j+m>_a (x) |j-m>_b, which with
 ascending m ordering is the identity permutation on amplitude arrays.
+
+Photon numbers go through `errors._size`, the package's one size rule:
+`InvalidN` for a N00N state or the pipeline, ValueError for a two-mode
+state (which admits N = 0); N00N phases go through `errors._finite`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from . import su2
 from .coherent import coherent_expansion
 from .dynamics import quarter_period_evolve
-from .errors import InvalidN
+from .errors import InvalidN, _choice, _finite, _size
 from .halfint import HalfInteger, m_values
 from .su2 import SpinState, _unit_vector, rotate
-
-
-def _size(value, least: int, error: type[Exception], what: str) -> int:
-    """`value` as an int >= least, else `error`; bool is refused though it is Integral."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise error(f"{what} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -43,13 +39,18 @@ class TwoModeState:
 
 @dataclass(frozen=True)
 class NoonState:
-    """(e^{-i phi} |N,0> + e^{i phi} |0,N>) / sqrt(2)."""
+    """(e^{-i phi} |N,0> + e^{i phi} |0,N>) / sqrt(2).
+
+    Raises InvalidN unless N is an int >= 1, and ValueError for a phase_phi
+    that is not a finite real.
+    """
 
     n_total: int
     phase_phi: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "n_total", _size(self.n_total, 1, InvalidN, "N"))
+        _finite(self.phase_phi, ValueError, "phase_phi")
 
     def to_two_mode(self) -> TwoModeState:
         amps = np.zeros(self.n_total + 1, dtype=np.complex128)
@@ -114,8 +115,7 @@ def make_noon(n_total: int, omega: float = 0.0, gamma_choice: str = "i") -> TwoM
     measured by `noon_fidelity`.
     """
     n_total = _size(n_total, 1, InvalidN, "N")
-    if gamma_choice not in ("i", "1"):
-        raise ValueError(f"gamma_choice must be 'i' or '1', got {gamma_choice!r}")
+    _choice(gamma_choice, ("i", "1"), "gamma_choice")
     j = HalfInteger(n_total)
     gamma, axis = (1j, "x") if gamma_choice == "i" else (1.0, "y")
     evolved = quarter_period_evolve(coherent_expansion(j, gamma), omega)
@@ -127,9 +127,9 @@ def noon_fidelity(state: TwoModeState) -> tuple[float, float]:
 
     Returns (fidelity, best_phi) with best_phi in [0, pi); the N00N phase
     is only defined modulo pi because phi -> phi + pi is a global sign.
+    Raises InvalidN for N = 0.
     """
-    if state.n_total < 1:
-        raise InvalidN("the N00N family needs N >= 1")
+    _size(state.n_total, 1, InvalidN, "N")
     top = state.amplitudes[-1]
     bottom = state.amplitudes[0]
     fid = (abs(top) + abs(bottom)) / math.sqrt(2.0)

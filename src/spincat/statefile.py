@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import StateFileError
+from .errors import StateFileError, _size
 from .halfint import HalfInteger
-from .schwinger import TwoModeState, _size
+from .schwinger import TwoModeState
 from .su2 import SpinState
 
 SPIN_SCHEMA = "spin-state/1"

@@ -30,6 +30,12 @@ Conventions used everywhere in this package:
 
 All states and operators are immutable after construction; every function
 here is pure and safe to call from multiple threads.
+
+Inputs follow the package's three rules in `errors`: 2m is a size
+(`_size`), an angle or time is a finite real (`_finite`), and an axis is a
+choice (`_choice`, checked once, in `_apply_function`).  State and operator
+entries are checked by their own validators, `_unit_vector` and
+`_frozen_complex_array`, which also bound the norm and the shape.
 """
 from __future__ import annotations
 
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrrepMismatch, NonHermitianInput
+from .errors import IrrepMismatch, NonHermitianInput, _choice, _finite, _size
 from .halfint import HalfInteger, m_values
 
 # Residual gate applied before exponentiating a generator.  Anything above
@@ -128,9 +134,9 @@ class SpinOperator:
 
 
 def weight_state(j: HalfInteger, twice_m: int) -> SpinState:
-    """The z-basis ket |j,m>, given 2m."""
+    """The z-basis ket |j,m>, given 2m; ValueError unless 2m is an int weight of 2j."""
     tj = j.twice_value
-    if abs(twice_m) > tj or (twice_m - tj) % 2 != 0:
+    if _size(twice_m, -tj, ValueError, "2m") > tj or (twice_m - tj) % 2 != 0:
         raise ValueError(f"2m={twice_m} is not a weight of 2j={tj}")
     amps = np.zeros(j.dim, dtype=np.complex128)
     amps[(twice_m + tj) // 2] = 1.0
@@ -234,8 +240,10 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     to rounding.  This is the reference route: `rotate`, the rotations in
     `coherent` and the diagonal twist in `dynamics` are tested against it.
 
-    Raises NonHermitianInput if H fails the Hermiticity gate.
+    Raises ValueError for a t that is not a finite real, and
+    NonHermitianInput if H fails the Hermiticity gate.
     """
+    _finite(t, ValueError, "t")
     res = h.hermiticity_residual()
     if res > HERMITICITY_GATE:
         raise NonHermitianInput(f"Hermiticity residual {res:.3e} exceeds {HERMITICITY_GATE:.0e}")
@@ -257,8 +265,7 @@ def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
     n functions of one state come out as the n columns of one product.  No
     d x d complex matrix is formed.
     """
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
+    _choice(axis, ("x", "y"), "axis")
     (v,) = _jx_eigensystem(j.twice_value)
     if axis == "y":
         d = _MINUS_I_POWERS[np.arange(j.dim) % 4].reshape((-1,) + (1,) * (np.ndim(psi) - 1))
@@ -273,8 +280,7 @@ def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
 def rotate(state: SpinState, axis: str, angle: float) -> SpinState:
     """exp(-i angle J_axis) |state> for axis 'x' or 'y', by `_apply_function`.
 
-    A non-finite angle raises ValueError before any phase is formed.
+    An angle that is not a finite real raises ValueError before any phase is formed.
     """
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle {angle} is not finite")
+    _finite(angle, ValueError, "rotation angle")
     return SpinState(state.j, _apply_function(state.j, axis, lambda w: np.exp(-1j * angle * w), state.amplitudes))

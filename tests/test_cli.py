@@ -508,7 +508,7 @@ def test_a_cat_call_builds_its_two_components_once(tmp_path, capsys, monkeypatch
     [
         (("--theta", "nan"), "theta=nan outside [0, pi]"),
         (("--theta", "4"), "theta=4.0 outside [0, pi]"),
-        (("--theta", "1", "--phi", "inf"), "phi must be finite"),
+        (("--theta", "1", "--phi", "inf"), "phi inf is not finite"),
         (("--theta", "1", "--gamma", "0+1i"), "give exactly one of --theta [--phi] or --gamma"),
         ((), "give exactly one of --theta [--phi] or --gamma"),
     ],
