@@ -54,19 +54,19 @@ from .dynamics import (
     rotated_cat_prediction,
 )
 from .schwinger import (
-    NoonState,
     TwoModeState,
     fock_to_spin,
     make_noon,
     noon_fidelity,
+    noon_state,
     off_support_mass,
     spin_to_fock,
     verify_schwinger_realization,
 )
 from .metrology import (
     ScalingRow,
+    error_propagation_uncertainty,
     noon_signal,
-    phase_uncertainty,
     quantum_fisher_information,
     scaling_table,
 )

@@ -28,7 +28,7 @@ from .dynamics import _quarter_period_cats, cat_scan
 from .errors import SpinCatError, StateFileError, _finite, _size
 from .halfint import HalfInteger
 from .metrology import scaling_table
-from .schwinger import make_noon, noon_fidelity, off_support_mass
+from .schwinger import make_noon, noon_fidelity, noon_state, off_support_mass
 from .statefile import load_spin_state, save_state
 from .verify import all_passed, run_suite
 
@@ -110,11 +110,9 @@ def _list_of(parse):
 
 
 def _resolve_label(parser, args) -> SpinorLabel:
-    has_angles = args.theta is not None
-    has_gamma = args.gamma is not None
-    if has_angles == has_gamma:
+    if (args.theta is None) == (args.gamma is None):
         parser.error("give exactly one of --theta [--phi] or --gamma")
-    if has_gamma:
+    if args.gamma is not None:
         return as_label(args.gamma)
     try:
         return stereographic(BlochDirection(args.theta, args.phi))
@@ -232,7 +230,7 @@ def cmd_scan(parser, args) -> int:
 
 
 def cmd_metrology(parser, args) -> int:
-    rows = scaling_table(args.n_list)
+    rows = scaling_table([noon_state(n) for n in args.n_list])
     fields = ("n_total", "delta_phi_noon", "delta_phi_sql_reference", "qfi")
     return _write_csv(
         ("N", *fields[1:]),

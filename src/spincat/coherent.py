@@ -27,6 +27,8 @@ from .errors import IrrepMismatch, PoleLabel, _choice, _finite, _size
 from .halfint import HalfInteger, m_values
 from .su2 import SpinState, _apply_function, _ladder, _per_twice_j
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
 
 @dataclass(frozen=True)
 class BlochDirection:
@@ -36,9 +38,10 @@ class BlochDirection:
     phi: float
 
     def __post_init__(self):
+        if not isinstance(self.theta, float):  # a NaN or inf float gets the range message below
+            _finite(self.theta, ValueError, "theta")
         if not 0.0 <= self.theta <= math.pi:
             raise ValueError(f"theta={self.theta} outside [0, pi]")
-        _finite(self.theta, ValueError, "theta")  # a bool passes the range test
         object.__setattr__(self, "phi", _finite(self.phi, ValueError, "phi") % (2.0 * math.pi))
 
 
@@ -59,6 +62,8 @@ class SpinorLabel:
 
     def __post_init__(self):
         u, v, u_dir, v_dir = self.u_abs, self.v_abs, self.u_dir, self.v_dir
+        if not _BOOL_TYPES.isdisjoint((type(u), type(v), type(u_dir), type(v_dir))):  # Python counts bool a number; the rules do not
+            raise ValueError(f"a label holds numbers, not bools: {self}")
         if not (u >= 0.0 and v >= 0.0 and abs(u * u + v * v - 1.0) <= 1e-12):
             raise ValueError(f"({u}, {v}) are not the moduli of a unit spinor")
         if not (cmath.isfinite(u_dir) and cmath.isfinite(v_dir)) or (u == 0.0) != (u_dir == 0) or (v == 0.0) != (v_dir == 0):
@@ -82,10 +87,13 @@ class SpinorLabel:
 def as_label(gamma) -> SpinorLabel:
     """Coerce a complex number (infinite: the pole) or label to a SpinorLabel.
 
-    A gamma with a NaN part names no point, not even the pole, and raises ValueError.
+    A gamma with a NaN part names no point, not even the pole, and raises
+    ValueError, as a bool does, though Python counts it a number.
     """
     if isinstance(gamma, SpinorLabel):
         return gamma
+    if isinstance(gamma, bool) or getattr(gamma, "dtype", None) == bool:  # numpy's bools too
+        raise ValueError(f"gamma must be a number, got {gamma!r}")
     g = complex(gamma)
     if cmath.isnan(g):
         raise ValueError(f"gamma={g} has a NaN part")

@@ -4,10 +4,12 @@ Every input the pipeline takes is one of three kinds, each checked by one
 rule that raises the caller's chosen error type:
 
 * `_size`: an int at least some bound: 2j, N, 2m, grid sizes;
-* `_finite`: a finite real scalar or array: angles, omega, phases;
+* `_finite`: a finite real scalar: angles, omega, the N00N phase;
 * `_choice`: one name from a short tuple: an axis, the gamma choice.
 
 bool is refused by `_size` and `_finite` though Python counts it a number.
+The one array input, `metrology.noon_signal`'s phase shift, is judged
+where it is read, with `_finite`'s two messages.
 `tests/test_contract.py` holds each public name to these rules.
 """
 import math
@@ -62,17 +64,21 @@ def _size(value, least: int, error: type[Exception], what: str) -> int:
 
 
 def _finite(value, error: type[Exception], what: str):
-    """`value` as given if it is a real number, or an array of them, and finite; else `error`.
+    """`value` as given if it is a finite real scalar, a 0-d array included; else `error`.
 
-    bool, complex and non-numeric values are refused first.  A scalar is
-    judged by `math.isfinite` alone, with no numpy call.
+    bool, complex, arrays and non-numeric values are refused first, and an
+    int or fraction past the float range counts as not finite.  A Python or
+    numpy scalar is judged by `math.isfinite` alone, with no numpy call.
     """
     scalar = isinstance(value, float) or isinstance(value, Real)  # float first: the ABC check costs ~10x more
-    if isinstance(value, bool) or not (scalar or np.asarray(value).dtype.kind in "iuf"):
+    if isinstance(value, bool) or not (scalar or (isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf")):
         raise error(f"{what} must be real, got {value!r}")
-    if not (math.isfinite(value) if scalar else np.isfinite(value).all()):
-        raise error(f"{what} {value!r} is not finite")
-    return value
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:  # no repr here: past 4300 digits an int has none
+        raise error(f"{what} is past the float range, so it is not finite") from None
+    raise error(f"{what} {value!r} is not finite")
 
 
 def _choice(value, allowed: tuple, what: str):

@@ -1,4 +1,5 @@
-"""Two-mode Fock realization of the spin algebra and the N00N pipeline.
+"""Two-mode Fock realization of the spin algebra, the N00N pipeline, and
+`noon_state`, the one builder of the ideal N00N probe.
 
 Every operator in play conserves the total photon number, so the two-mode
 space is built only on the fixed-N sector (dimension N + 1, amplitudes
@@ -7,7 +8,7 @@ j = N/2 maps onto that sector by |j,m>_z = |j+m>_a (x) |j-m>_b, which with
 ascending m ordering is the identity permutation on amplitude arrays.
 
 Photon numbers go through `errors._size`, the package's one size rule:
-`InvalidN` for a N00N state or the pipeline, ValueError for a two-mode
+`InvalidN` for the ideal probe or the pipeline, ValueError for a two-mode
 state (which admits N = 0); N00N phases go through `errors._finite`.
 """
 from __future__ import annotations
@@ -37,26 +38,18 @@ class TwoModeState:
         object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, self.n_total + 1))
 
 
-@dataclass(frozen=True)
-class NoonState:
-    """(e^{-i phi} |N,0> + e^{i phi} |0,N>) / sqrt(2).
+def noon_state(n_total: int, phase_phi: float = 0.0) -> TwoModeState:
+    """The ideal N00N probe (e^{-i phi} |N,0> + e^{i phi} |0,N>) / sqrt(2).
 
     Raises InvalidN unless N is an int >= 1, and ValueError for a phase_phi
     that is not a finite real.
     """
-
-    n_total: int
-    phase_phi: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_total", _size(self.n_total, 1, InvalidN, "N"))
-        _finite(self.phase_phi, ValueError, "phase_phi")
-
-    def to_two_mode(self) -> TwoModeState:
-        amps = np.zeros(self.n_total + 1, dtype=np.complex128)
-        amps[-1] = np.exp(-1j * self.phase_phi) / math.sqrt(2.0)
-        amps[0] = np.exp(1j * self.phase_phi) / math.sqrt(2.0)
-        return TwoModeState(self.n_total, amps)
+    n_total = _size(n_total, 1, InvalidN, "N")
+    _finite(phase_phi, ValueError, "phase_phi")
+    amps = np.zeros(n_total + 1, dtype=np.complex128)
+    amps[-1] = np.exp(-1j * phase_phi) / math.sqrt(2.0)
+    amps[0] = np.exp(1j * phase_phi) / math.sqrt(2.0)
+    return TwoModeState(n_total, amps)
 
 
 def spin_to_fock(state: SpinState) -> TwoModeState:

@@ -72,12 +72,9 @@ def load_state(path):
         raise StateFileError("top-level JSON value must be an object")
 
     schema = doc.get("schema_version")
-    if schema == SPIN_SCHEMA:
-        key = "twice_j"
-    elif schema == TWO_MODE_SCHEMA:
-        key = "n_total"
-    else:
+    if schema not in (SPIN_SCHEMA, TWO_MODE_SCHEMA):
         raise StateFileError(f"unknown schema_version: {schema!r}")
+    key = "twice_j" if schema == SPIN_SCHEMA else "n_total"
     size = _size(doc.get(key), 0, StateFileError, key)
     amps = _parse_amplitudes(doc, size + 1)
     try:

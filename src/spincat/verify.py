@@ -35,13 +35,14 @@ from .coherent import (
     BlochDirection,
 )
 from .dynamics import _quarter_period_cats, _rotated_identity_routes, predicted_cat, rotated_cat_prediction
+from .errors import _size
 from .halfint import HalfInteger, m_values
-from .metrology import noon_signal, phase_uncertainty, quantum_fisher_information
+from .metrology import error_propagation_uncertainty, noon_signal, quantum_fisher_information
 from .schwinger import (
-    NoonState,
     fock_to_spin,
     make_noon,
     noon_fidelity,
+    noon_state,
     off_support_mass,
     spin_to_fock,
     verify_schwinger_realization,
@@ -243,7 +244,8 @@ def _noon_section(max_twice_j: int, noon_states):
 
 
 def _metrology_section(max_twice_j: int, noon_states):
-    uncs = [abs(phase_uncertainty(n) * n - 1.0) for n in range(1, 101)]
+    ideal = {n: noon_state(n) for n in range(1, 101)}  # the ideal probe, one per N, for every check below
+    uncs = [abs(error_propagation_uncertainty(p) * n - 1.0) for n, p in ideal.items()]
     yield _bound("metrology", "N * delta_phi = 1, N<=100", uncs, 1e-9)
 
     limit = min(60, max_twice_j)
@@ -253,20 +255,21 @@ def _metrology_section(max_twice_j: int, noon_states):
     periods = []
     phis = np.linspace(0.0, 2.0 * math.pi, 10_000, endpoint=False)
     for n in (1, 4, 10):
-        spectrum = np.abs(np.fft.rfft(noon_signal(n, 0.0, phis)))
+        spectrum = np.abs(np.fft.rfft(noon_signal(ideal[n], phis)))
         spectrum[0] = 0.0
         periods.append(abs(int(np.argmax(spectrum)) - n))
     yield _bound("metrology", "fringe frequency = N", periods, 0.0)
 
-    crs = []
-    for n in (1, 2, 10, 50):
-        bound = 1.0 / math.sqrt(quantum_fisher_information(NoonState(n).to_two_mode()))
-        crs.append(bound - phase_uncertainty(n))
+    crs = [1.0 / math.sqrt(quantum_fisher_information(ideal[n])) - error_propagation_uncertainty(ideal[n]) for n in (1, 2, 10, 50)]
     yield _bound("metrology", "Cramer-Rao consistency", crs, 1e-9)
 
 
 def run_suite(max_twice_j: int = 60, seed: int = 20260810) -> list[CheckResult]:
-    """Run every section; deterministic for a fixed seed."""
+    """Run every section; deterministic for a fixed seed.
+
+    Raises ValueError unless max_twice_j is an int >= 0.
+    """
+    max_twice_j = _size(max_twice_j, 0, ValueError, "max_twice_j")
     rng = np.random.default_rng(seed)
     results: list[CheckResult] = []
     results.extend(_algebra_section(max_twice_j))

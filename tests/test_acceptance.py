@@ -17,6 +17,7 @@ from spincat import (
     bloch_direction,
     casimir,
     coherent_expansion,
+    error_propagation_uncertainty,
     fidelity,
     fit_two_component,
     jminus,
@@ -27,8 +28,8 @@ from spincat import (
     make_noon,
     noon_fidelity,
     noon_signal,
+    noon_state,
     off_support_mass,
-    phase_uncertainty,
     predicted_cat,
     quantum_fisher_information,
     quarter_period_evolve,
@@ -188,7 +189,7 @@ def test_criterion_6_noon_pipeline():
 
 def test_criterion_7_metrology():
     t0 = time.perf_counter()
-    worst_unc = max(abs(phase_uncertainty(n) * n - 1.0) for n in range(1, 101))
+    worst_unc = max(abs(error_propagation_uncertainty(noon_state(n)) * n - 1.0) for n in range(1, 101))
     worst_qfi = 0.0
     for n in range(2, 61, 2):
         qfi = quantum_fisher_information(make_noon(n))
@@ -196,7 +197,7 @@ def test_criterion_7_metrology():
     periods_ok = True
     for n in (1, 10, 64):
         phis = np.linspace(0, 2 * math.pi, 10_000, endpoint=False)
-        samples = noon_signal(n, 0.0, phis)
+        samples = noon_signal(noon_state(n, 0.0), phis)
         spectrum = np.abs(np.fft.rfft(samples))
         spectrum[0] = 0.0
         periods_ok = periods_ok and int(np.argmax(spectrum)) == n

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import csv_text
-from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, scaling_table
+from spincat import HalfInteger, cat_scan, coherent_expansion, husimi_grid, make_noon, noon_state, scaling_table
 from spincat import cli, coherent, dynamics, verify
 from spincat.cli import main, parse_complex
 from spincat.statefile import load_spin_state, load_two_mode_state, save_state
@@ -322,7 +322,7 @@ def test_csv_cells_are_the_library_values(tmp_path, capsys):
                 for r in scan_rows
             ],
         ),
-        (("metrology", "--n-list", "1,3,10"), [dataclasses.astuple(r) for r in scaling_table([1, 3, 10])]),
+        (("metrology", "--n-list", "1,3,10"), [dataclasses.astuple(r) for r in scaling_table([noon_state(n) for n in [1, 3, 10]])]),
     ]
     out_path = tmp_path / "t.csv"
     for argv, want in cases:
@@ -367,7 +367,7 @@ def test_csv_bytes_match_one_repr_per_cell(tmp_path, capsys):
     )
     metrology = (
         ("N", "delta_phi_noon", "delta_phi_sql_reference", "qfi"),
-        list(zip(*[dataclasses.astuple(r) for r in scaling_table([1, 3, 10])])),
+        list(zip(*[dataclasses.astuple(r) for r in scaling_table([noon_state(n) for n in [1, 3, 10]])])),
     )
     for header, columns in tables:
         assert "".join(cli._csv_lines(header, columns)) == csv_text(header, columns)

@@ -1,15 +1,18 @@
 """The input contract of the public API, as one table.
 
-Each public name in `spincat` that takes a size, a real, an axis or a
-choice is called with adversarial values (bool, a float size, a negative,
-NaN, +-inf, a wrong axis, a mismatched j), and each call expects one
-documented exception type, with warnings as errors so that nothing warns
-before it refuses.  Valid edge values (numpy scalars, an empty phase array,
-N = 1, 2j = 0) sit in the same table and must pass.  Sizes, reals and
-choices are refused by the three rules in `spincat.errors`; the table holds
-the public names to them, and `test_every_public_name_has_a_row_or_is_listed`
-holds every public name to the table.
+Each public name in `spincat`, and each public callable its library
+modules define, that takes a size, a real, an axis or a choice is called
+with adversarial values (bool, a float size, a negative, NaN, +-inf, an int
+past the float range, an array for a scalar, a wrong axis, a mismatched j),
+and each call expects one documented exception type, with warnings as
+errors so that nothing warns before it refuses.  Valid edge values (numpy
+scalars, 0-d arrays, an empty phase array, N = 1, 2j = 0) sit in the same
+table and must pass.  Sizes, reals and choices are refused by the three
+rules in `spincat.errors`; the table holds the public names to them, and
+`test_every_public_name_has_a_row_or_is_listed` holds every public name to
+the table.
 """
+import importlib
 import math
 
 import numpy as np
@@ -23,7 +26,6 @@ from spincat import (
     InvalidN,
     IrrepMismatch,
     NonFinitePhase,
-    NoonState,
     PoleLabel,
     SpinOperator,
     SpinorLabel,
@@ -34,6 +36,7 @@ from spincat import (
     bloch_direction,
     cat_scan,
     coherent_expansion,
+    error_propagation_uncertainty,
     expm_hermitian,
     fidelity,
     fit_two_component,
@@ -43,8 +46,8 @@ from spincat import (
     make_noon,
     noon_fidelity,
     noon_signal,
+    noon_state,
     overlap,
-    phase_uncertainty,
     predicted_cat,
     quarter_period_evolve,
     rotate,
@@ -53,6 +56,7 @@ from spincat import (
     scaling_table,
     weight_state,
 )
+from spincat.verify import run_suite
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -63,13 +67,23 @@ NAN, INF = math.nan, math.inf
 
 # Public names that take no size, real, axis or choice of their own: a
 # HalfInteger, a state or a direction alone, each checked where it is built,
-# or a record of values the library computed.
+# a record of values the library computed, or a file path, whose refusals
+# `tests/test_statefile.py` holds.
 NO_SUCH_INPUT = {
     "m_values", "jx", "jy", "jz", "jplus", "jminus", "casimir", "verify_schwinger_realization",  # a HalfInteger
     "mean_spin", "spin_to_fock", "fock_to_spin", "off_support_mass", "quantum_fisher_information",  # a state
     "stereographic",  # a BlochDirection
-    "CatDecomposition", "CatScanRow", "ScalingRow",  # records
+    "all_passed",  # verify's CheckResults
+    "CatDecomposition", "CatScanRow", "ScalingRow", "CheckResult",  # records
+    "save_state", "load_state", "load_spin_state", "load_two_mode_state",  # a path
 }
+
+# The library modules whose public callables the table covers; `cli` is held
+# to its exit codes by `tests/test_cli.py`'s argv fuzz test instead.
+LIBRARY_MODULES = [
+    importlib.import_module(f"spincat.{name}")
+    for name in ("halfint", "su2", "coherent", "dynamics", "schwinger", "metrology", "statefile", "verify")
+]
 
 # (public name, case, call, the exception it documents, a pattern of its message or None)
 REFUSED = [
@@ -90,6 +104,8 @@ REFUSED = [
     ("rotate", "NaN angle", lambda: rotate(STATE, "y", NAN), ValueError, "is not finite"),
     ("rotate", "inf angle", lambda: rotate(STATE, "x", INF), ValueError, "is not finite"),
     ("rotate", "-inf angle", lambda: rotate(STATE, "y", -INF), ValueError, "is not finite"),
+    ("rotate", "int angle past the float range", lambda: rotate(STATE, "x", 10**400), ValueError, "is not finite"),
+    ("rotate", "angle array", lambda: rotate(STATE, "x", np.array([1.0, 2.0])), ValueError, "must be real"),
     ("rotate", "wrong axis", lambda: rotate(STATE, "z", 0.3), ValueError, "axis must be 'x' or 'y'"),
     ("expm_hermitian", "bool t", lambda: expm_hermitian(jz(J4), True), ValueError, None),
     ("expm_hermitian", "NaN t", lambda: expm_hermitian(jz(J4), NAN), ValueError, None),
@@ -97,6 +113,8 @@ REFUSED = [
     ("rotate_label", "bool angle", lambda: rotate_label(1j, "x", True), ValueError, "must be real, got True"),
     ("rotate_label", "NaN angle", lambda: rotate_label(1j, "x", NAN), ValueError, "is not finite"),
     ("rotate_label", "-inf angle", lambda: rotate_label(1j, "y", -INF), ValueError, "is not finite"),
+    ("rotate_label", "int angle past the float range", lambda: rotate_label(1j, "x", 10**400), ValueError, "is not finite"),
+    ("rotate_label", "angle array", lambda: rotate_label(1j, "x", np.array([1.0, 2.0])), ValueError, "must be real"),
     ("rotate_label", "wrong axis", lambda: rotate_label(1j, "z", 0.3), ValueError, "axis must be 'x' or 'y'"),
     ("BlochDirection", "bool theta", lambda: BlochDirection(True, 0.0), ValueError, None),
     ("BlochDirection", "NaN theta", lambda: BlochDirection(NAN, 0.0), ValueError, None),
@@ -104,10 +122,16 @@ REFUSED = [
     ("BlochDirection", "bool phi", lambda: BlochDirection(1.0, True), ValueError, None),
     ("BlochDirection", "NaN phi", lambda: BlochDirection(1.0, NAN), ValueError, "phi nan is not finite"),
     ("BlochDirection", "inf phi", lambda: BlochDirection(1.0, INF), ValueError, "phi inf is not finite"),
+    ("BlochDirection", "int phi past the float range", lambda: BlochDirection(1.0, 10**400), ValueError, "phi .*is not finite"),
+    ("BlochDirection", "theta array", lambda: BlochDirection(np.array([1.0, 2.0]), 0.0), ValueError, "theta must be real"),
     ("SpinorLabel", "NaN modulus", lambda: SpinorLabel(NAN, 1.0, 1, 1), ValueError, None),
     ("SpinorLabel", "negative modulus", lambda: SpinorLabel(-1.0, 0.0, 1, 0), ValueError, None),
     ("SpinorLabel", "inf direction", lambda: SpinorLabel(1.0, 0.0, INF, 0), ValueError, None),
+    ("SpinorLabel", "bools", lambda: SpinorLabel(True, False, 1, 0), ValueError, "not bools"),
     ("as_label", "NaN gamma", lambda: as_label(complex(NAN, 0.0)), ValueError, None),
+    ("as_label", "bool gamma", lambda: as_label(True), ValueError, "gamma must be a number"),
+    ("as_label", "numpy bool gamma", lambda: as_label(np.True_), ValueError, "gamma must be a number"),
+    ("as_label", "0-d bool array gamma", lambda: as_label(np.array(True)), ValueError, "gamma must be a number"),
     ("bloch_direction", "NaN gamma", lambda: bloch_direction(complex(INF, NAN)), ValueError, None),
     ("coherent_expansion", "NaN gamma", lambda: coherent_expansion(J4, complex(0.0, NAN)), ValueError, None),
     ("overlap", "mismatched j", lambda: overlap(STATE, OTHER_J), IrrepMismatch, None),
@@ -126,6 +150,8 @@ REFUSED = [
     ("quarter_period_evolve", "inf omega", lambda: quarter_period_evolve(STATE, INF), NonFinitePhase, "omega inf is not finite"),
     ("quarter_period_evolve", "-inf omega", lambda: quarter_period_evolve(STATE, -INF), NonFinitePhase, "is not finite"),
     ("quarter_period_evolve", "overflowing omega", lambda: quarter_period_evolve(STATE, 1e308), NonFinitePhase, "overflow"),
+    ("quarter_period_evolve", "int omega past the float range", lambda: quarter_period_evolve(STATE, 10**400), NonFinitePhase, "is not finite"),
+    ("quarter_period_evolve", "omega array", lambda: quarter_period_evolve(STATE, np.array([0.0, 1.0])), NonFinitePhase, "must be real"),
     ("quarter_period_evolve", "2j = 0", lambda: quarter_period_evolve(coherent_expansion(J0, 1j)), ZeroSpin, None),
     ("cat_scan", "NaN omega", lambda: cat_scan([J4], [NAN]), NonFinitePhase, "omega nan is not finite"),
     ("cat_scan", "pole gamma", lambda: cat_scan([J4], [0.0], gamma=INF), PoleLabel, None),
@@ -133,12 +159,14 @@ REFUSED = [
     ("fit_two_component", "NaN gamma", lambda: fit_two_component(STATE, complex(NAN, 1.0)), ValueError, None),
     ("predicted_cat", "half-integer j", lambda: predicted_cat(J3, 1j), HalfIntegerUnsupported, None),
     ("rotated_cat_prediction", "half-integer j", lambda: rotated_cat_prediction(J3), HalfIntegerUnsupported, None),
-    ("NoonState", "bool N", lambda: NoonState(True), InvalidN, None),
-    ("NoonState", "float N", lambda: NoonState(4.0), InvalidN, None),
-    ("NoonState", "N = 0", lambda: NoonState(0), InvalidN, None),
-    ("NoonState", "bool phi", lambda: NoonState(4, True), ValueError, "phase_phi must be real"),
-    ("NoonState", "NaN phi", lambda: NoonState(4, NAN), ValueError, "phase_phi nan is not finite"),
-    ("NoonState", "inf phi", lambda: NoonState(4, INF).to_two_mode(), ValueError, "phase_phi inf is not finite"),
+    ("noon_state", "bool N", lambda: noon_state(True), InvalidN, None),
+    ("noon_state", "float N", lambda: noon_state(4.0), InvalidN, None),
+    ("noon_state", "N = 0", lambda: noon_state(0), InvalidN, None),
+    ("noon_state", "bool phi", lambda: noon_state(4, True), ValueError, "phase_phi must be real"),
+    ("noon_state", "NaN phi", lambda: noon_state(4, NAN), ValueError, "phase_phi nan is not finite"),
+    ("noon_state", "inf phi", lambda: noon_state(4, INF), ValueError, "phase_phi inf is not finite"),
+    ("noon_state", "int phi past the float range", lambda: noon_state(4, 10**400), ValueError, "phase_phi .*is not finite"),
+    ("noon_state", "phi array", lambda: noon_state(4, np.array([0.1, 0.2])), ValueError, "phase_phi must be real"),
     ("TwoModeState", "bool N", lambda: TwoModeState(True, [1, 0]), ValueError, None),
     ("TwoModeState", "float N", lambda: TwoModeState(1.0, [1, 0]), ValueError, None),
     ("TwoModeState", "negative N", lambda: TwoModeState(-1, []), ValueError, None),
@@ -151,19 +179,24 @@ REFUSED = [
     ("make_noon", "wrong choice", lambda: make_noon(4, gamma_choice="q"), ValueError, "gamma_choice must be 'i' or '1'"),
     ("make_noon", "int choice", lambda: make_noon(4, gamma_choice=1), ValueError, "gamma_choice must be"),
     ("noon_fidelity", "N = 0", lambda: noon_fidelity(TwoModeState(0, [1.0])), InvalidN, None),
-    ("noon_signal", "bool N", lambda: noon_signal(True, 0.0, 0.1), InvalidN, None),
-    ("noon_signal", "NaN phi0", lambda: noon_signal(4, NAN, 0.1), ValueError, None),
-    ("noon_signal", "bool phi", lambda: noon_signal(4, 0.0, True), ValueError, "must be real, got True"),
-    ("noon_signal", "bool phi array", lambda: noon_signal(4, 0.0, [True, False]), ValueError, "must be real"),
-    ("noon_signal", "complex phi", lambda: noon_signal(4, 0.0, 1j), ValueError, "must be real"),
-    ("noon_signal", "NaN phi", lambda: noon_signal(4, 0.0, NAN), ValueError, "is not finite"),
-    ("noon_signal", "inf in a phi array", lambda: noon_signal(4, 0.0, np.array([0.0, INF])), ValueError, "is not finite"),
-    ("phase_uncertainty", "bool N", lambda: phase_uncertainty(True), InvalidN, None),
-    ("phase_uncertainty", "float N", lambda: phase_uncertainty(2.0), InvalidN, None),
-    ("phase_uncertainty", "N = 0", lambda: phase_uncertainty(0), InvalidN, None),
-    ("scaling_table", "bool N", lambda: scaling_table([True]), InvalidN, None),
-    ("scaling_table", "float N", lambda: scaling_table([2.7]), InvalidN, None),
-    ("scaling_table", "negative N", lambda: scaling_table([4, -1]), InvalidN, None),
+    ("noon_signal", "bool N", lambda: noon_signal(noon_state(True, 0.0), 0.1), InvalidN, None),
+    ("noon_signal", "NaN phi0", lambda: noon_signal(noon_state(4, NAN), 0.1), ValueError, None),
+    ("noon_signal", "N = 0", lambda: noon_signal(TwoModeState(0, [1.0]), 0.1), InvalidN, None),
+    ("noon_signal", "bool phi", lambda: noon_signal(noon_state(4, 0.0), True), ValueError, "must be real, got True"),
+    ("noon_signal", "bool phi array", lambda: noon_signal(noon_state(4, 0.0), [True, False]), ValueError, "must be real"),
+    ("noon_signal", "complex phi", lambda: noon_signal(noon_state(4, 0.0), 1j), ValueError, "must be real"),
+    ("noon_signal", "NaN phi", lambda: noon_signal(noon_state(4, 0.0), NAN), ValueError, "is not finite"),
+    ("noon_signal", "inf in a phi array", lambda: noon_signal(noon_state(4, 0.0), np.array([0.0, INF])), ValueError, "is not finite"),
+    ("error_propagation_uncertainty", "bool N", lambda: error_propagation_uncertainty(noon_state(True)), InvalidN, None),
+    ("error_propagation_uncertainty", "float N", lambda: error_propagation_uncertainty(noon_state(2.0)), InvalidN, None),
+    ("error_propagation_uncertainty", "N = 0", lambda: error_propagation_uncertainty(TwoModeState(0, [1.0])), InvalidN, None),
+    ("scaling_table", "bool N", lambda: scaling_table([noon_state(True)]), InvalidN, None),
+    ("scaling_table", "float N", lambda: scaling_table([noon_state(2.7)]), InvalidN, None),
+    ("scaling_table", "negative N", lambda: scaling_table([noon_state(n) for n in [4, -1]]), InvalidN, None),
+    ("scaling_table", "N = 0 probe", lambda: scaling_table([noon_state(4), TwoModeState(0, [1.0])]), InvalidN, None),
+    ("run_suite", "bool size", lambda: run_suite(True), ValueError, "max_twice_j must be an integer >= 0"),
+    ("run_suite", "float size", lambda: run_suite(2.5), ValueError, "max_twice_j must be an integer >= 0"),
+    ("run_suite", "negative size", lambda: run_suite(-5), ValueError, "max_twice_j must be an integer >= 0"),
 ]
 
 # (public name, case, call): valid edge values, which must pass.
@@ -173,11 +206,13 @@ ACCEPTED = [
     ("weight_state", "numpy int 2m", lambda: weight_state(J4, np.int64(-4))),
     ("rotate", "numpy float angle", lambda: rotate(STATE, "x", np.float64(0.3))),
     ("rotate", "int angle", lambda: rotate(STATE, "y", 1)),
+    ("rotate", "0-d array angle", lambda: rotate(STATE, "x", np.array(0.3))),
     ("rotate", "2j = 0", lambda: rotate(coherent_expansion(J0, 1j), "y", 0.3)),
     ("expm_hermitian", "numpy float t", lambda: expm_hermitian(jz(J4), np.float64(0.3))),
     ("rotate_label", "numpy float angle", lambda: rotate_label(INF, "y", np.float64(-math.pi / 2))),
     ("BlochDirection", "the south pole", lambda: BlochDirection(math.pi, -7.0)),
     ("BlochDirection", "numpy floats", lambda: BlochDirection(np.float64(0.3), np.float64(0.3))),
+    ("BlochDirection", "0-d arrays", lambda: BlochDirection(np.array(0.3), np.array(0.3))),
     ("SpinorLabel", "the pole", lambda: SpinorLabel(0.0, 1.0, 0j, 1 + 0j)),
     ("as_label", "the pole", lambda: as_label(INF)),
     ("bloch_direction", "gamma 0", lambda: bloch_direction(0)),
@@ -188,22 +223,29 @@ ACCEPTED = [
     ("husimi_grid", "2j = 0", lambda: husimi_grid(coherent_expansion(J0, 1j), 2, 1)),
     ("kerr_hamiltonian", "numpy float omega", lambda: kerr_hamiltonian(J4, np.float64(0.3), "y")),
     ("quarter_period_evolve", "numpy float omega", lambda: quarter_period_evolve(STATE, np.float64(0.3))),
+    ("quarter_period_evolve", "0-d array omega", lambda: quarter_period_evolve(STATE, np.array(0.3))),
     ("cat_scan", "no omegas", lambda: cat_scan([J4], [])),
     ("fit_two_component", "numpy complex gamma", lambda: fit_two_component(STATE, np.complex128(0.3 + 0.4j))),
     ("predicted_cat", "2j = 0", lambda: predicted_cat(J0, 1j)),
     ("rotated_cat_prediction", "2j = 0", lambda: rotated_cat_prediction(J0)),
-    ("NoonState", "N = 1", lambda: NoonState(1).to_two_mode()),
-    ("NoonState", "numpy scalars", lambda: NoonState(np.int64(4), np.float64(0.3)).to_two_mode()),
+    ("noon_state", "N = 1", lambda: noon_state(1)),
+    ("noon_state", "numpy scalars", lambda: noon_state(np.int64(4), np.float64(0.3))),
+    ("noon_state", "0-d array phi", lambda: noon_state(4, np.array(0.3))),
     ("TwoModeState", "N = 0", lambda: TwoModeState(0, [1.0])),
     ("make_noon", "N = 1", lambda: make_noon(1)),
     ("make_noon", "numpy scalars", lambda: make_noon(np.int64(4), omega=np.float64(0.0), gamma_choice="1")),
-    ("noon_fidelity", "N = 1", lambda: noon_fidelity(NoonState(1).to_two_mode())),
-    ("noon_signal", "empty phi array", lambda: noon_signal(4, 0.0, np.array([]))),
-    ("noon_signal", "numpy scalars", lambda: noon_signal(np.int64(4), np.float64(0.3), np.float64(0.1))),
-    ("noon_signal", "int phi list", lambda: noon_signal(1, 0, [0, 1])),
-    ("phase_uncertainty", "N = 1", lambda: phase_uncertainty(1)),
+    ("noon_fidelity", "N = 1", lambda: noon_fidelity(noon_state(1))),
+    ("noon_signal", "empty phi array", lambda: noon_signal(noon_state(4, 0.0), np.array([]))),
+    ("noon_signal", "numpy scalars", lambda: noon_signal(noon_state(np.int64(4), np.float64(0.3)), np.float64(0.1))),
+    ("noon_signal", "int phi list", lambda: noon_signal(noon_state(1, 0), [0, 1])),
+    ("noon_signal", "0-d array phi", lambda: noon_signal(noon_state(4), np.array(0.1))),
+    ("noon_signal", "the pipeline's state", lambda: noon_signal(make_noon(4), 0.1)),
+    ("error_propagation_uncertainty", "N = 1", lambda: error_propagation_uncertainty(noon_state(1))),
     ("scaling_table", "no N", lambda: scaling_table([])),
-    ("scaling_table", "numpy int N", lambda: scaling_table([np.int64(4), 1])),
+    ("scaling_table", "numpy int N", lambda: scaling_table([noon_state(n) for n in [np.int64(4), 1]])),
+    ("scaling_table", "the pipeline's state", lambda: scaling_table([make_noon(4)])),
+    ("run_suite", "2j = 0", lambda: run_suite(0)),
+    ("run_suite", "numpy int", lambda: run_suite(np.int64(2))),
 ]
 
 
@@ -221,10 +263,14 @@ def test_a_valid_edge_input_is_accepted(call):
 
 
 def test_every_public_name_has_a_row_or_is_listed():
-    # The exception types are the table's answers, not its inputs.
+    # Each name `spincat` exports and each public callable a library module
+    # defines, whether exported or not.  The exception types are the
+    # table's answers, not its inputs.
+    named = list(vars(spincat).items())
+    named += [(name, obj) for m in LIBRARY_MODULES for name, obj in vars(m).items() if getattr(obj, "__module__", None) == m.__name__]
     public = {
         name
-        for name, obj in vars(spincat).items()
+        for name, obj in named
         if not name.startswith("_") and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
     }
     covered = {row[0] for row in REFUSED + ACCEPTED}

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from spincat import (
     HalfInteger,
     InvalidN,
-    NoonState,
     TwoModeState,
     coherent_expansion,
     fock_to_spin,
     make_noon,
     noon_fidelity,
+    noon_state,
     off_support_mass,
     scaling_table,
     spin_to_fock,
@@ -139,12 +139,12 @@ def test_make_noon_validation():
     "build, error",
     [
         (lambda: TwoModeState(True, [1, 0]), ValueError),
-        (lambda: NoonState(True), InvalidN),
+        (lambda: noon_state(True), InvalidN),
         (lambda: make_noon(True), InvalidN),
-        (lambda: scaling_table([True]), InvalidN),
-        (lambda: scaling_table([2.7]), InvalidN),
+        (lambda: scaling_table([noon_state(True)]), InvalidN),
+        (lambda: scaling_table([noon_state(2.7)]), InvalidN),
     ],
-    ids=["TwoModeState", "NoonState", "make_noon", "scaling_table-bool", "scaling_table-float"],
+    ids=["TwoModeState", "noon_state", "make_noon", "scaling_table-bool", "scaling_table-float"],
 )
 def test_bool_size_is_refused(build, error):
     with pytest.raises(error):
@@ -152,21 +152,21 @@ def test_bool_size_is_refused(build, error):
 
 
 def test_noon_state_materializes_the_invariant():
-    s = NoonState(5, 0.3).to_two_mode()
+    s = noon_state(5, 0.3)
     assert abs(s.amplitudes[5]) == pytest.approx(1 / math.sqrt(2))
     assert abs(s.amplitudes[0]) == pytest.approx(1 / math.sqrt(2))
     assert off_support_mass(s) == 0.0
     assert s.amplitudes[5] == pytest.approx(np.exp(-0.3j) / math.sqrt(2))
     with pytest.raises(InvalidN):
-        NoonState(0)
+        noon_state(0)
 
 
 def test_noon_fidelity_examples():
-    fid, best = noon_fidelity(NoonState(7, 0.9).to_two_mode())
+    fid, best = noon_fidelity(noon_state(7, 0.9))
     assert fid == pytest.approx(1.0, abs=1e-12)
     assert best == pytest.approx(0.9, abs=1e-12)
     # phase is only defined mod pi
-    fid, best = noon_fidelity(NoonState(7, 0.9 + math.pi).to_two_mode())
+    fid, best = noon_fidelity(noon_state(7, 0.9 + math.pi))
     assert best == pytest.approx(0.9, abs=1e-12)
     # single-arm Fock probe covers half the support
     single = np.zeros(8, dtype=complex)
