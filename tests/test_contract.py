@@ -248,16 +248,24 @@ ACCEPTED = [
     ("run_suite", "numpy int", lambda: run_suite(np.int64(2))),
 ]
 
+# A row's test id starts with its public name, except that
+# error_propagation_uncertainty's rows go by the quantity it returns, the
+# phase uncertainty: their ids stay short and keep the names these cases
+# have always had.
+ID_NAME = {"error_propagation_uncertainty": "phase_uncertainty"}
 
-@pytest.mark.parametrize(
-    "call, error, match", [pytest.param(*row[2:], id=f"{row[0]}-{row[1]}") for row in REFUSED]
-)
+
+def _row_id(row):
+    return f"{ID_NAME.get(row[0], row[0])}-{row[1]}"
+
+
+@pytest.mark.parametrize("call, error, match", [pytest.param(*row[2:], id=_row_id(row)) for row in REFUSED])
 def test_an_adversarial_input_raises_its_documented_error(call, error, match):
     with pytest.raises(error, match=match):
         call()
 
 
-@pytest.mark.parametrize("call", [pytest.param(row[2], id=f"{row[0]}-{row[1]}") for row in ACCEPTED])
+@pytest.mark.parametrize("call", [pytest.param(row[2], id=_row_id(row)) for row in ACCEPTED])
 def test_a_valid_edge_input_is_accepted(call):
     call()
 
