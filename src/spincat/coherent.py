@@ -16,7 +16,6 @@ except where a test pins one deliberately.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -24,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IrrepMismatch, PoleLabel, _choice, _finite, _size
-from .halfint import HalfInteger, m_values
-from .su2 import SpinState, _apply_function, _ladder, _per_twice_j
+from .halfint import HalfInteger, _spin
+from .su2 import SpinState, _apply_function, _per_twice_j, _weights
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -74,9 +73,14 @@ class SpinorLabel:
         """v / u, the stereographic coordinate; infinite at the pole."""
         return self.v_dir / self.u_dir if self.u_dir else complex(math.inf)
 
-    @functools.cached_property
+    @property
     def phases(self) -> tuple[float, float]:
-        """(arg u, arg v), as `np.angle` reads them from `u_dir` and `v_dir`, once per label."""
+        """(arg u, arg v), as `np.angle` reads them from `u_dir` and `v_dir`.
+
+        Computed per read and not kept: `bloch_direction` reads it once per
+        label, and `_amplitudes` and `_rotated_lowest` read the same numbers,
+        bit for bit, for all their labels at once (`_label_columns`).
+        """
         return tuple(np.angle((self.u_dir, self.v_dir)).tolist())
 
     def negated(self) -> "SpinorLabel":
@@ -199,13 +203,24 @@ def _binomial_weights(twice_j: int, u_abs, v_abs) -> np.ndarray:
     return radial
 
 
+def _label_columns(labels) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """|u|, |v|, arg u and arg v of SpinorLabels, each an n x 1 column.
+
+    The fields are packed into one array, and one `np.angle` call reads
+    every label's arguments: each label's `phases`, bit for bit.
+    """
+    packed = np.array([(label.u_abs, label.v_abs, label.u_dir, label.v_dir) for label in labels], dtype=complex)
+    columns = packed.reshape(-1, 4).T[:, :, None]
+    arg_u, arg_v = np.angle(columns[2:])
+    return columns[0].real, columns[1].real, arg_u, arg_v
+
+
 def _amplitudes(twice_j: int, labels) -> np.ndarray:
     """|j; u, v>'s raw amplitudes, one row per label or gamma: the one map from labels to amplitudes.
 
     Row n is `_binomial_weights` of label n's moduli times the phase of u^{2j-k} v^k, 2j arg u + k (arg v - arg u).
     """
-    columns = zip(*[(label.u_abs, label.v_abs, *label.phases) for label in map(as_label, labels)])
-    u_abs, v_abs, arg_u, arg_v = (np.array(column)[:, None] for column in columns)
+    u_abs, v_abs, arg_u, arg_v = _label_columns(map(as_label, labels))
     return _binomial_weights(twice_j, u_abs, v_abs) * np.exp(1j * (arg_v - arg_u) * np.arange(twice_j + 1) + 1j * arg_u * twice_j)
 
 
@@ -217,7 +232,7 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     overflow nor lose the pole limit: gamma -> infinity is (0, 1), which
     lands on |j,+j>_z exactly.
     """
-    return SpinState(j, _amplitudes(j.twice_value, [gamma])[0])
+    return SpinState(j, _amplitudes(_spin(j).twice_value, [gamma])[0])
 
 
 def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
@@ -238,7 +253,8 @@ def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
     if any(not label.u_abs for label in labels):
         raise PoleLabel("the rotation from |j,-j> requires a finite label")
     thetas = [2.0 * math.atan(abs(label.gamma)) for label in labels]
-    phis = [arg_v - arg_u for arg_u, arg_v in (label.phases for label in labels)]  # as in `bloch_direction`
+    _, _, arg_u, arg_v = _label_columns(labels)
+    phis = arg_v - arg_u  # as in `bloch_direction`
     lowest = np.eye(j.dim, 1)  # |j,-j>_z as a column
     out = _apply_function(j, "y", lambda w: np.expm1(1j * np.outer(w, thetas)), lowest)
     out[0] += 1.0
@@ -263,8 +279,9 @@ def mean_spin(state: SpinState) -> np.ndarray:
     <Jz> = sum_k m_k |psi_k|^2.
     """
     psi = state.amplitudes
-    plus = np.vdot(psi[1:], _ladder(state.j) * psi[:-1])
-    return np.array([plus.real, plus.imag, m_values(state.j) @ (psi.real**2 + psi.imag**2)])
+    m, ladder, _ = _weights(state.j.twice_value)
+    plus = np.vdot(psi[1:], ladder * psi[:-1])
+    return np.array([plus.real, plus.imag, m @ (psi.real**2 + psi.imag**2)])
 
 
 @dataclass(frozen=True)

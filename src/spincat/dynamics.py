@@ -40,15 +40,15 @@ import numpy as np
 
 from .coherent import CatDecomposition, _amplitudes, as_label, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin, _choice, _finite
-from .halfint import HalfInteger, m_values
-from .su2 import SpinOperator, SpinState, _apply_function, jy, jz, rotate, weight_state
+from .halfint import HalfInteger, _spin
+from .su2 import SpinOperator, SpinState, _apply_function, _weights, jy, jz, rotate, weight_state
 
 _POLE_REFUSAL = "need a label off the poles so the two components differ"
 
 
 def _quarter_period(j: HalfInteger) -> float:
     """tau/4 = pi j, a quarter of the twist's period 4 pi j."""
-    if j.twice_value == 0:
+    if _spin(j).twice_value == 0:
         raise ZeroSpin("j = 0 has no twisting dynamics")
     return 2.0 * math.pi * j.twice_value / 4.0
 
@@ -85,12 +85,13 @@ def quarter_period_evolve(state: SpinState, omega: float = 0.0) -> SpinState:
     elementwise; an omega that is not finite, or whose phase overflows,
     raises `NonFinitePhase`.
     """
-    return SpinState(state.j, _quarter_phases(state.j, omega, m_values(state.j)) * state.amplitudes)
+    m = _weights(state.j.twice_value)[0]
+    return SpinState(state.j, _quarter_phases(state.j, omega, m) * state.amplitudes)
 
 
 def predicted_cat(j: HalfInteger, gamma) -> CatDecomposition:
     """The two-component decomposition produced by a quarter period (integer j)."""
-    if not j.is_integer:
+    if not _spin(j).is_integer:
         raise HalfIntegerUnsupported(f"j={j} is half-odd-integer; use cat_scan for the exploratory case")
     label = as_label(gamma)
     sign = -1.0 if (j.twice_value // 2) % 2 else 1.0
@@ -114,7 +115,7 @@ def _two_component_basis(j: HalfInteger, gamma) -> np.ndarray:
     label = as_label(gamma)
     if label.u_abs * label.v_abs == 0:
         raise PoleLabel(_POLE_REFUSAL)
-    rows = _amplitudes(j.twice_value, [label, label.negated()])
+    rows = _amplitudes(_spin(j).twice_value, [label, label.negated()])
     return np.column_stack([SpinState(j, row).amplitudes for row in rows])
 
 

@@ -8,6 +8,10 @@ rule that raises the caller's chosen error type:
 * `_choice`: one name from a short tuple: an axis, the gamma choice.
 
 bool is refused by `_size` and `_finite` though Python counts it a number.
+A refusal shows the value it refuses by `_shown`, which describes an int
+too long to print (past 4300 digits) by its sign and digit count.  A j,
+a spin label rather than a number, is checked apart: `halfint._spin`
+refuses any j that is not a HalfInteger with TypeError.
 The one array input, `metrology.noon_signal`'s phase shift, is judged
 where it is read, with `_finite`'s two messages.
 `tests/test_contract.py` holds each public name to these rules.
@@ -56,10 +60,25 @@ class StateFileError(SpinCatError):
     """A state file is missing, malformed, or fails its norm check."""
 
 
+def _shown(value) -> str:
+    """repr(value) for a refusal message, or the sign and digit count of an int too long for one.
+
+    Past 4300 digits (Python's default limit) an int has no repr, and asking
+    for it raises ValueError in place of the refusal being built.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        digits = int(math.log10(size)) + 1  # the float log can land a digit off
+        digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _size(value, least: int, error: type[Exception], what: str) -> int:
     """`value` as an int >= least, else `error`; bool is refused though it is Integral."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise error(f"{what} must be an integer >= {least}, got {value!r}")
+        raise error(f"{what} must be an integer >= {least}, got {_shown(value)}")
     return int(value)
 
 
@@ -84,4 +103,4 @@ def _finite(value, error: type[Exception], what: str):
 def _choice(value, allowed: tuple, what: str):
     """ValueError unless `value` is one of `allowed`."""
     if value not in allowed:
-        raise ValueError(f"{what} must be {' or '.join(map(repr, allowed))}, got {value!r}")
+        raise ValueError(f"{what} must be {' or '.join(map(repr, allowed))}, got {_shown(value)}")

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _shown
+
 
 @dataclass(frozen=True, order=True)
 class HalfInteger:
@@ -21,9 +23,9 @@ class HalfInteger:
         if not isinstance(self.twice_value, (int, np.integer)) or isinstance(
             self.twice_value, bool
         ):
-            raise TypeError(f"twice_value must be an int, got {self.twice_value!r}")
+            raise TypeError(f"twice_value must be an int, got {_shown(self.twice_value)}")
         if self.twice_value < 0:
-            raise ValueError(f"twice_value must be >= 0, got {self.twice_value}")
+            raise ValueError(f"twice_value must be >= 0, got {_shown(self.twice_value)}")
         object.__setattr__(self, "twice_value", int(self.twice_value))
 
     @property
@@ -49,7 +51,18 @@ class HalfInteger:
         return f"{self.twice_value}/2"
 
 
+def _spin(j) -> HalfInteger:
+    """`j` itself if it is a HalfInteger, else TypeError, the type HalfInteger raises for a 2j that is not an int.
+
+    The one check of a j argument: an exact type test, so an int, None or a
+    float is refused before any of its attributes is read.
+    """
+    if type(j) is not HalfInteger:
+        raise TypeError(f"j must be a HalfInteger, got {_shown(j)}")
+    return j
+
+
 def m_values(j: HalfInteger) -> np.ndarray:
-    """Weight eigenvalues m = -j..+j as floats, ascending."""
-    tj = j.twice_value
+    """Weight eigenvalues m = -j..+j as floats, ascending; TypeError unless j is a HalfInteger."""
+    tj = _spin(j).twice_value
     return np.arange(-tj, tj + 1, 2) / 2.0

@@ -22,7 +22,7 @@ from . import su2
 from .coherent import coherent_expansion
 from .dynamics import quarter_period_evolve
 from .errors import InvalidN, _choice, _finite, _size
-from .halfint import HalfInteger, m_values
+from .halfint import HalfInteger, _spin, m_values
 from .su2 import SpinState, _unit_vector, rotate
 
 
@@ -84,7 +84,7 @@ def verify_schwinger_realization(j: HalfInteger) -> float:
     diagonal, where the mode-built J^2 lives (`su2._ladder_squares`).  All
     in O(d).  Contract: <= 1e-12 in Frobenius norm.
     """
-    n_a, n_b, lower = _sector_bands(j.twice_value)
+    n_a, n_b, lower = _sector_bands(_spin(j).twice_value)
     jz_f = (n_a - n_b) / 2.0
     j0 = (n_a + n_b) / 2.0
     below, above = su2._ladder_squares(lower)

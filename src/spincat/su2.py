@@ -18,8 +18,13 @@ Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
 built afresh per call past 64, so a run of distinct large 2j holds nothing
 after its caller is done.  Jx's eigenvectors (`_jx_eigensystem`, ~0.77 MB
-kept in all) and the exact binomials (`coherent._sqrt_binomials`) are the
-only such tables.  Generator matrices are built per call and never kept.
+kept in all), the weights m with J+'s band and the phases (-i)^k
+(`_weights`, ~68 kB, which `_apply_function`, the z twist and `mean_spin`
+read in place of rebuilding them per call) and the exact binomials
+(`coherent._sqrt_binomials`) are the only such tables.  `verify`'s algebra
+checks build J+'s band afresh from `_ladder`, the weights table's builder,
+so a corrupted band shows there and not only in what was kept.  Generator
+matrices are built per call and never kept.
 
 Conventions used everywhere in this package:
 
@@ -33,7 +38,8 @@ here is pure and safe to call from multiple threads.
 
 Inputs follow the package's three rules in `errors`: 2m is a size
 (`_size`), an angle or time is a finite real (`_finite`), and an axis is a
-choice (`_choice`, checked once, in `_apply_function`).  State and operator
+choice (`_choice`, checked once, in `_apply_function`).  A j must be a
+HalfInteger (`halfint._spin`), else TypeError.  State and operator
 entries are checked by their own validators, `_unit_vector` and
 `_frozen_complex_array`, which also bound the norm and the shape.
 """
@@ -45,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrrepMismatch, NonHermitianInput, _choice, _finite, _size
-from .halfint import HalfInteger, m_values
+from .errors import IrrepMismatch, NonHermitianInput, _choice, _finite, _shown, _size
+from .halfint import HalfInteger, _spin, m_values
 
 # Residual gate applied before exponentiating a generator.  Anything above
 # this is a construction bug, not rounding.
@@ -102,7 +108,7 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, self.j.dim))
+        object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, _spin(self.j).dim))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -116,7 +122,7 @@ class SpinOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        d = self.j.dim
+        d = _spin(self.j).dim
         object.__setattr__(self, "matrix", _frozen_complex_array(self.matrix, (d, d)))
 
     def apply(self, state: SpinState) -> SpinState:
@@ -135,9 +141,9 @@ class SpinOperator:
 
 def weight_state(j: HalfInteger, twice_m: int) -> SpinState:
     """The z-basis ket |j,m>, given 2m; ValueError unless 2m is an int weight of 2j."""
-    tj = j.twice_value
+    tj = _spin(j).twice_value
     if _size(twice_m, -tj, ValueError, "2m") > tj or (twice_m - tj) % 2 != 0:
-        raise ValueError(f"2m={twice_m} is not a weight of 2j={tj}")
+        raise ValueError(f"2m={_shown(twice_m)} is not a weight of 2j={tj}")
     amps = np.zeros(j.dim, dtype=np.complex128)
     amps[(twice_m + tj) // 2] = 1.0
     return SpinState(j, amps)
@@ -188,6 +194,17 @@ def _per_twice_j(build):
 
     table.kept = {}
     return table
+
+
+# (-i)^k by k mod 4: Jy = D Jx D^dag with D = diag((-i)^k), k = j + m.
+_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+@_per_twice_j
+def _weights(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, J+'s band, (-i)^k) over k = j + m: `m_values`, `_ladder` and D's diagonal."""
+    j = HalfInteger(twice_j)
+    return m_values(j), _ladder(j), _MINUS_I_POWERS[np.arange(j.dim) % 4]
 
 
 @_per_twice_j
@@ -252,10 +269,6 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     return SpinOperator(h.j, u)
 
 
-# (-i)^k by k mod 4: Jy = D Jx D^dag with D = diag((-i)^k), k = j + m.
-_MINUS_I_POWERS = np.array([1.0, -1.0j, -1.0, 1.0j])
-
-
 def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
     """f(J_axis) psi for axis 'x' or 'y', the one reader of Jx's eigenvectors V.
 
@@ -267,12 +280,13 @@ def _apply_function(j: HalfInteger, axis: str, f, psi) -> np.ndarray:
     """
     _choice(axis, ("x", "y"), "axis")
     (v,) = _jx_eigensystem(j.twice_value)
+    m, _, d = _weights(j.twice_value)
     if axis == "y":
-        d = _MINUS_I_POWERS[np.arange(j.dim) % 4].reshape((-1,) + (1,) * (np.ndim(psi) - 1))
+        d = d.reshape((-1,) + (1,) * (np.ndim(psi) - 1))
         psi = d.conj() * psi
     # Real and imaginary parts separately: a real V never turns into a
     # complex d x d copy.
-    c = f(m_values(j)) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
+    c = f(m) * (v.T @ psi.real + 1j * (v.T @ psi.imag))
     out = v @ c.real + 1j * (v @ c.imag)
     return d * out if axis == "y" else out
 

@@ -14,6 +14,10 @@ only this module checks, are products with V (`su2._apply_function`), so no
 check exponentiates a matrix or forms a d x d complex product.  The cat
 identity reads `predicted_cat`'s two coefficients on the d x 2 basis the cat
 route built for its fit, so each (j, gamma) costs one `_amplitudes` call.
+The coherent checks take each 2j's labels as one batch: one `_amplitudes`
+call, with each label's distance and norm computed in `np.linalg.norm`'s
+own arithmetic (`_row_norms`), so every value is the one a per-label loop
+gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -128,52 +132,67 @@ def _algebra_section(max_twice_j: int):
     yield _bound("algebra", f"Jx eigensystem, 2j<={max_twice_j}", eig, 1e-12)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm` of each row of a complex n x d array, in its arithmetic for one vector.
+
+    That is sqrt(re . re + im . im), each a dot product of the row with
+    itself, as a stack of n 1 x d by d x 1 products.  A norm along an axis
+    would sum in another order and move the last bits of a worst value.
+    """
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
 def _coherent_section(rng, max_twice_j: int):
     limit = min(30, max_twice_j)
     dist, norms = [], []
     for tj in range(0, limit + 1):
         j = HalfInteger(tj)
         labels = [as_label(g) for g in _random_gammas(rng, 20)]
-        # Every label's y rotation of |j,-j>_z in one product with V.
+        # Every label's y rotation of |j,-j>_z in one product with V, one column each.
         built = _rotated_lowest(j, labels)
-        # The amplitudes before SpinState renormalizes them, which would hide a drift.
-        for column, raw in zip(built.T, _amplitudes(tj, labels)):
-            dist.append(np.linalg.norm(column - SpinState(j, raw).amplitudes))
-            norms.append(abs(np.linalg.norm(raw) - 1.0))
-    yield _bound("coherent", f"rotation vs expansion, 2j<={limit}", dist, 1e-12)
-    yield _bound("coherent", "constructed norms", norms, 1e-12)
-
-    def sphere_point(d: BlochDirection) -> tuple[float, float, float]:
-        return (
-            math.sin(d.theta) * math.cos(d.phi),
-            math.sin(d.theta) * math.sin(d.phi),
-            math.cos(d.theta),
-        )
+        # The amplitudes before a SpinState would renormalize them and hide a
+        # drift, one row per label; each is then renormalized as SpinState
+        # does it, only past _NORM_SNAP, and compared with its column.
+        raw = _amplitudes(tj, labels)
+        nrm = _row_norms(raw)
+        drift = np.abs(nrm - 1.0)
+        norms.append(drift)
+        unit = np.where((drift > su2._NORM_SNAP)[:, None], raw / nrm[:, None], raw)
+        dist.append(_row_norms(built.T - unit))
+    yield _bound("coherent", f"rotation vs expansion, 2j<={limit}", np.concatenate(dist), 1e-12)
+    yield _bound("coherent", "constructed norms", np.concatenate(norms), 1e-12)
 
     rounds = []
-    for theta in np.linspace(0.0, math.pi - 1e-6, 40):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False):
+    # Python floats, not numpy scalars: the same values, for less per-point arithmetic.
+    for theta in np.linspace(0.0, math.pi - 1e-6, 40).tolist():
+        for phi in np.linspace(0.0, 2.0 * math.pi, 17, endpoint=False).tolist():
             direction = BlochDirection(theta, phi)
             label = stereographic(direction)
             back = bloch_direction(label)
-            rounds.extend(abs(a - b) for a, b in zip(sphere_point(back), sphere_point(direction)))
-            # label-level round trip, relative so huge labels near the pole
-            # are judged at their own scale
             again = stereographic(back)
-            rounds.append(abs(again.gamma - label.gamma) / (1.0 + abs(label.gamma)))
+            # The two points' Cartesian coordinates, then the label-level
+            # round trip, relative so huge labels near the pole are judged
+            # at their own scale.
+            sin_back, sin_direction = math.sin(back.theta), math.sin(direction.theta)
+            rounds += (
+                abs(sin_back * math.cos(back.phi) - sin_direction * math.cos(direction.phi)),
+                abs(sin_back * math.sin(back.phi) - sin_direction * math.sin(direction.phi)),
+                abs(math.cos(back.theta) - math.cos(direction.theta)),
+                abs(again.gamma - label.gamma) / (1.0 + abs(label.gamma)),
+            )
     yield _bound("coherent", "stereographic round trip", rounds, 1e-12)
 
     poles, antis = [], []
     for tj in (1, 2, 7, 16):
         j = HalfInteger(tj)
-        pole = coherent_expansion(j, float("inf"))
+        # The pole, the origin, 5 equatorial g and their -g, from one `_amplitudes` call.
+        g = np.exp(1j * rng.uniform(0, 2 * math.pi, 5))
+        pole, origin, *equator = (SpinState(j, row) for row in _amplitudes(tj, [math.inf, 0.0, *g, *-g]))
         poles.append(np.sum(np.abs(pole.amplitudes[:-1])))
-        origin = coherent_expansion(j, 0.0)
         poles.append(np.sum(np.abs(origin.amplitudes[1:])))
-        for phase in rng.uniform(0, 2 * math.pi, 5):
-            g = np.exp(1j * phase)
-            total = mean_spin(coherent_expansion(j, g)) + mean_spin(coherent_expansion(j, -g))
-            antis.append(np.max(np.abs(total)))
+        for plus, minus in zip(equator[:5], equator[5:]):
+            antis.append(np.max(np.abs(mean_spin(plus) + mean_spin(minus))))
     yield _bound("coherent", "pole and origin support", poles, 1e-15)
     yield _bound("coherent", "equatorial antipodality", antis, 1e-10)
 

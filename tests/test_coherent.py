@@ -38,7 +38,7 @@ from spincat import (
     stereographic,
     weight_state,
 )
-from spincat.coherent import _amplitudes, _binomial_weights, _rotated_lowest, _sqrt_binomials
+from spincat.coherent import _amplitudes, _binomial_weights, _label_columns, _rotated_lowest, _sqrt_binomials
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 small_twice_j = st.integers(min_value=0, max_value=20)
@@ -390,6 +390,22 @@ def test_amplitudes_rows_are_the_one_label_formula_bit_for_bit(twice_j):
     for row, gamma in zip(rows, labels):
         assert np.array_equal(row, _amplitudes(twice_j, [gamma])[0])
         assert np.array_equal(row, amplitudes_one_label(twice_j, gamma))
+
+
+def test_label_columns_are_each_labels_fields_bit_for_bit():
+    # One np.angle call over every label gives each label's own `phases`,
+    # signed zeros included, wherever the label sits in the batch.
+    rng = np.random.default_rng(11)
+    gammas = (rng.normal(size=300) + 1j * rng.normal(size=300)) * np.exp(rng.uniform(-20.0, 20.0, size=300))
+    labels = [as_label(g) for g in [0.0, -0.0, math.inf, -1.0, 1j, -1j, *gammas]]
+    labels += [rotate_label(label, "xy"[k % 2], 0.1 * k) for k, label in enumerate(labels[::7])]
+    labels += [label.negated() for label in labels[::5]]
+    for n in (1, 2, 3, len(labels)):
+        columns = _label_columns(labels[-n:])
+        assert all(column.shape == (n, 1) for column in columns)
+        for k, label in enumerate(labels[-n:]):
+            want = (label.u_abs, label.v_abs, *label.phases)
+            assert [column[k, 0].hex() for column in columns] == [float(x).hex() for x in want], k
 
 
 @pytest.mark.parametrize("thetas", [1.1, np.array([[0.0], [0.4], [math.pi / 2], [2.9], [math.pi]])], ids=["scalar", "column"])

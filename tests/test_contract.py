@@ -1,16 +1,17 @@
 """The input contract of the public API, as one table.
 
 Each public name in `spincat`, and each public callable its library
-modules define, that takes a size, a real, an axis or a choice is called
-with adversarial values (bool, a float size, a negative, NaN, +-inf, an int
-past the float range, an array for a scalar, a wrong axis, a mismatched j),
-and each call expects one documented exception type, with warnings as
-errors so that nothing warns before it refuses.  Valid edge values (numpy
-scalars, 0-d arrays, an empty phase array, N = 1, 2j = 0) sit in the same
-table and must pass.  Sizes, reals and choices are refused by the three
-rules in `spincat.errors`; the table holds the public names to them, and
-`test_every_public_name_has_a_row_or_is_listed` holds every public name to
-the table.
+modules define, that takes a size, a real, an axis, a choice or a j is
+called with adversarial values (bool, a float size, a negative, NaN, +-inf,
+an int past the float range or too long to print, an array for a scalar, a
+wrong axis, a mismatched j, a j that is not a HalfInteger), and each call
+expects one documented exception type, with warnings as errors so that
+nothing warns before it refuses.  Valid edge values (numpy scalars, 0-d
+arrays, an empty phase array, N = 1, 2j = 0) sit in the same table and must
+pass.  Sizes, reals and choices are refused by the three rules in
+`spincat.errors`, a j by `halfint._spin`; the table holds the public names
+to them, and `test_every_public_name_has_a_row_or_is_listed` holds every
+public name to the table.
 """
 import importlib
 import math
@@ -34,6 +35,7 @@ from spincat import (
     ZeroSpin,
     as_label,
     bloch_direction,
+    casimir,
     cat_scan,
     coherent_expansion,
     error_propagation_uncertainty,
@@ -41,8 +43,13 @@ from spincat import (
     fidelity,
     fit_two_component,
     husimi_grid,
+    jminus,
+    jplus,
+    jx,
+    jy,
     jz,
     kerr_hamiltonian,
+    m_values,
     make_noon,
     noon_fidelity,
     noon_signal,
@@ -54,6 +61,7 @@ from spincat import (
     rotate_label,
     rotated_cat_prediction,
     scaling_table,
+    verify_schwinger_realization,
     weight_state,
 )
 from spincat.verify import run_suite
@@ -65,12 +73,11 @@ STATE = coherent_expansion(J4, 0.3 + 0.4j)
 OTHER_J = coherent_expansion(J3, 0.3 + 0.4j)
 NAN, INF = math.nan, math.inf
 
-# Public names that take no size, real, axis or choice of their own: a
-# HalfInteger, a state or a direction alone, each checked where it is built,
-# a record of values the library computed, or a file path, whose refusals
+# Public names that take no size, real, axis, choice or j of their own: a
+# state or a direction alone, each checked where it is built, a record of
+# values the library computed, or a file path, whose refusals
 # `tests/test_statefile.py` holds.
 NO_SUCH_INPUT = {
-    "m_values", "jx", "jy", "jz", "jplus", "jminus", "casimir", "verify_schwinger_realization",  # a HalfInteger
     "mean_spin", "spin_to_fock", "fock_to_spin", "off_support_mass", "quantum_fisher_information",  # a state
     "stereographic",  # a BlochDirection
     "all_passed",  # verify's CheckResults
@@ -197,6 +204,37 @@ REFUSED = [
     ("run_suite", "bool size", lambda: run_suite(True), ValueError, "max_twice_j must be an integer >= 0"),
     ("run_suite", "float size", lambda: run_suite(2.5), ValueError, "max_twice_j must be an integer >= 0"),
     ("run_suite", "negative size", lambda: run_suite(-5), ValueError, "max_twice_j must be an integer >= 0"),
+    # An int past 4300 digits has no repr; the refusal describes it instead.
+    ("HalfInteger", "2j of 5001 digits", lambda: HalfInteger(-10**5000), ValueError, "got a negative int of 5001 digits"),
+    ("weight_state", "2m of 5001 digits", lambda: weight_state(J4, 10**5000), ValueError, "2m=an int of 5001 digits is not a weight"),
+    ("husimi_grid", "n_theta of 5001 digits", lambda: husimi_grid(STATE, -10**5000, 3), ValueError, "n_theta .* got a negative int of 5001 digits"),
+    ("make_noon", "N of 5001 digits", lambda: make_noon(-10**5000), InvalidN, "got a negative int of 5001 digits"),
+]
+
+# Every name that takes a j, called with an int, None and a float for it:
+# each is refused with TypeError, as HalfInteger refuses a 2j that is not an int.
+TAKES_J = {
+    "m_values": m_values,
+    "jx": jx,
+    "jy": jy,
+    "jz": jz,
+    "jplus": jplus,
+    "jminus": jminus,
+    "casimir": casimir,
+    "verify_schwinger_realization": verify_schwinger_realization,
+    "coherent_expansion": lambda j: coherent_expansion(j, 1j),
+    "predicted_cat": lambda j: predicted_cat(j, 1j),
+    "rotated_cat_prediction": rotated_cat_prediction,
+    "SpinState": lambda j: SpinState(j, [1.0]),
+    "SpinOperator": lambda j: SpinOperator(j, [[1.0]]),
+    "weight_state": lambda j: weight_state(j, 0),
+    "kerr_hamiltonian": kerr_hamiltonian,
+    "cat_scan": lambda j: cat_scan([j], [0.0]),
+}
+REFUSED += [
+    (name, f"{case} j", lambda call=call, j=j: call(j), TypeError, "j must be a HalfInteger")
+    for name, call in TAKES_J.items()
+    for case, j in (("int", 4), ("None", None), ("float", 4.0))
 ]
 
 # (public name, case, call): valid edge values, which must pass.

@@ -28,13 +28,14 @@ from spincat import (
     jx,
     jy,
     jz,
+    m_values,
     make_noon,
     rotate,
     weight_state,
 )
 from spincat import su2
 from spincat.coherent import _rotated_lowest, _sqrt_binomials
-from spincat.su2 import _jx_eigensystem
+from spincat.su2 import _jx_eigensystem, _weights
 
 small_twice_j = st.integers(min_value=0, max_value=24)
 
@@ -141,12 +142,12 @@ def test_generator_matrices_do_not_outlive_their_caller(tj):
         assert matrix() is None, op.__name__
 
 
-TABLES = [_jx_eigensystem, _sqrt_binomials]
+TABLES = [_jx_eigensystem, _sqrt_binomials, _weights]
 
 
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: t.__name__)
 def test_per_twice_j_tables_keep_up_to_2j_64(table):
-    # One rule for both tables: kept up to 2j = 64, built afresh past it.
+    # One rule for every table: kept up to 2j = 64, built afresh past it.
     for tj in (0, 1, 6, 63, 64, 65, 66, 200, 1030):
         first, again = table(tj), table(tj)
         if tj <= 64:
@@ -157,6 +158,20 @@ def test_per_twice_j_tables_keep_up_to_2j_64(table):
             assert not got.flags.writeable, tj
             assert got.dtype == want.dtype and got.shape == want.shape, tj
             assert got.tobytes() == repeat.tobytes() == want.tobytes(), tj
+
+
+def test_weights_table_holds_m_the_band_and_the_y_phases():
+    # Bit for bit what the kernels built per call before the table, on both
+    # sides of the last kept 2j and past the float range of the binomials.
+    for tj in [*range(66), 200, 1031]:
+        j = HalfInteger(tj)
+        want = (m_values(j), su2._ladder(j), su2._MINUS_I_POWERS[np.arange(j.dim) % 4])
+        for got, ref in zip(_weights(tj), want, strict=True):
+            assert got.dtype == ref.dtype and got.shape == ref.shape, tj
+            assert got.tobytes() == ref.tobytes(), tj
+            assert not got.flags.writeable, tj
+            with pytest.raises(ValueError):
+                got[...] = 0
 
 
 def test_generators_and_kept_tables_under_threads():
@@ -176,7 +191,7 @@ def test_generators_and_kept_tables_under_threads():
                 got = builders[name](HalfInteger(tj)).matrix
                 if got.flags.writeable or got.tobytes() != want[tj][name].matrix.tobytes():
                     errors.append((name, tj))
-                table = TABLES[k % 2]
+                table = TABLES[k % len(TABLES)]
                 for arr, ref in zip(table(60 + tj), want_tables[table, 60 + tj]):
                     if arr.flags.writeable or arr.tobytes() != ref.tobytes():
                         errors.append((table.__name__, 60 + tj))

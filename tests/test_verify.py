@@ -15,7 +15,10 @@ from _oracles import (
 )
 from spincat import (
     HalfInteger,
+    SpinState,
     as_label,
+    coherent_expansion,
+    mean_spin,
     verify_schwinger_realization,
     weight_state,
 )
@@ -128,6 +131,93 @@ def test_a_norm_drift_fails_the_constructed_norms_check(monkeypatch):
     checks = _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))
     assert checks.pop("constructed norms") is False
     assert all(checks.values())
+
+
+def _coherent_loop_reference(rng, limit):
+    """The rotation, norm, pole and antipodality values of `_coherent_section`, one label at a time:
+    a SpinState and two `np.linalg.norm` calls per label, a `coherent_expansion` per state."""
+    dist, norms, poles, antis = [], [], [], []
+    for tj in range(limit + 1):
+        j = HalfInteger(tj)
+        labels = [as_label(g) for g in verify._random_gammas(rng, 20)]
+        for column, label in zip(_rotated_lowest(j, labels).T, labels):
+            raw = coherent._amplitudes(tj, [label])[0]
+            dist.append(np.linalg.norm(column - SpinState(j, raw).amplitudes))
+            norms.append(abs(np.linalg.norm(raw) - 1.0))
+    for tj in (1, 2, 7, 16):
+        j = HalfInteger(tj)
+        poles.append(np.sum(np.abs(coherent_expansion(j, math.inf).amplitudes[:-1])))
+        poles.append(np.sum(np.abs(coherent_expansion(j, 0.0).amplitudes[1:])))
+        for phase in rng.uniform(0, 2 * math.pi, 5):
+            g = np.exp(1j * phase)
+            antis.append(np.max(np.abs(mean_spin(coherent_expansion(j, g)) + mean_spin(coherent_expansion(j, -g)))))
+    return {"rotation vs expansion": dist, "constructed norms": norms, "pole and origin support": poles, "equatorial antipodality": antis}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260810])
+def test_batched_coherent_checks_give_the_per_label_loop_values(monkeypatch, seed):
+    # Each label's numbers, not only the worst: the batch draws the same
+    # labels in the same order and rounds every value as the loop does.
+    seen = {}
+
+    def record(section, name, values, bound):
+        seen[name.split(",")[0]] = np.asarray(values, dtype=float).ravel()
+        return verify.CheckResult(section, name, True, "")
+
+    monkeypatch.setattr(verify, "_bound", record)
+    list(_coherent_section(np.random.default_rng(seed), 60))
+    want = _coherent_loop_reference(np.random.default_rng(seed), 30)
+    for name, values in want.items():
+        assert np.array_equal(seen[name], np.asarray(values, dtype=float)), name
+
+
+def test_row_norms_are_np_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(4)
+    for d in range(1, 70):
+        a = rng.normal(size=(d, 20)) + 1j * rng.normal(size=(d, 20))
+        b = rng.normal(size=(20, d)) * np.exp(1j * rng.uniform(-4.0, 4.0, size=(20, d)))
+        for rows in (b, a.T, a.T - b):
+            assert np.array_equal(verify._row_norms(rows), [np.linalg.norm(row) for row in rows]), d
+
+
+def _worst(check) -> float:
+    return float(check.detail.split()[1])
+
+
+def test_one_perturbed_rotation_column_fails_only_rotation_vs_expansion(monkeypatch):
+    # The 20 labels of each 2j are compared in one batch; a 1e-11 error in
+    # one label's column, spread over its d entries, must still be read as
+    # that label's distance.
+    rotated = verify._rotated_lowest
+
+    def perturbed(j, labels):
+        built = rotated(j, labels)
+        if j.twice_value == MAX_TJ - 1:
+            built[:, 13] += 1e-11 / math.sqrt(j.dim)
+        return built
+
+    assert all(_checks(_coherent_section(np.random.default_rng(1), MAX_TJ)).values())
+    monkeypatch.setattr(verify, "_rotated_lowest", perturbed)
+    results = {r.name.split(",")[0]: r for r in _coherent_section(np.random.default_rng(1), MAX_TJ)}
+    assert {name: r.passed for name, r in results.items() if not r.passed} == {"rotation vs expansion": False}
+    assert _worst(results["rotation vs expansion"]) == pytest.approx(1e-11, rel=1e-3)
+
+
+def test_one_perturbed_antipodal_row_fails_only_equatorial_antipodality(monkeypatch):
+    # The pole, the origin and each 2j's five +-g come from one batch of
+    # rows; an error in one -g row must reach the antipodality check alone.
+    amplitudes = verify._amplitudes
+
+    def perturbed(twice_j, labels):
+        rows = amplitudes(twice_j, labels)
+        if twice_j == 7 and any(as_label(g).u_abs == 0.0 for g in labels):
+            rows[-1, 3] += 1e-9
+        return rows
+
+    assert all(_checks(_coherent_section(np.random.default_rng(1), MAX_TJ)).values())
+    monkeypatch.setattr(verify, "_amplitudes", perturbed)
+    checks = _checks(_coherent_section(np.random.default_rng(1), MAX_TJ))
+    assert {name for name, passed in checks.items() if not passed} == {"equatorial antipodality"}
 
 
 @pytest.mark.parametrize("which", [0, 1, 2])
