@@ -11,25 +11,12 @@ from .errors import (
     InvalidN,
     IrrepMismatch,
     NonFinitePhase,
-    NonHermitianInput,
     PoleLabel,
     SpinCatError,
     StateFileError,
     ZeroSpin,
 )
-from .su2 import (
-    SpinOperator,
-    SpinState,
-    casimir,
-    expm_hermitian,
-    jminus,
-    jplus,
-    jx,
-    jy,
-    jz,
-    rotate,
-    weight_state,
-)
+from .su2 import SpinState, rotate, weight_state
 from .coherent import (
     BlochDirection,
     CatDecomposition,
@@ -48,7 +35,6 @@ from .dynamics import (
     CatScanRow,
     cat_scan,
     fit_two_component,
-    kerr_hamiltonian,
     predicted_cat,
     quarter_period_evolve,
     rotated_cat_prediction,

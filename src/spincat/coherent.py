@@ -63,10 +63,13 @@ class SpinorLabel:
         u, v, u_dir, v_dir = self.u_abs, self.v_abs, self.u_dir, self.v_dir
         if not _BOOL_TYPES.isdisjoint((type(u), type(v), type(u_dir), type(v_dir))):  # Python counts bool a number; the rules do not
             raise ValueError(f"a label holds numbers, not bools: {self}")
-        if not (u >= 0.0 and v >= 0.0 and abs(u * u + v * v - 1.0) <= 1e-12):
-            raise ValueError(f"({u}, {v}) are not the moduli of a unit spinor")
-        if not (cmath.isfinite(u_dir) and cmath.isfinite(v_dir)) or (u == 0.0) != (u_dir == 0) or (v == 0.0) != (v_dir == 0):
-            raise ValueError("u_dir and v_dir must be finite and vanish exactly where |u| and |v| do")
+        try:
+            if not (u >= 0.0 and v >= 0.0 and abs(u * u + v * v - 1.0) <= 1e-12):
+                raise ValueError(f"({u}, {v}) are not the moduli of a unit spinor")
+            if not (cmath.isfinite(u_dir) and cmath.isfinite(v_dir)) or (u == 0.0) != (u_dir == 0) or (v == 0.0) != (v_dir == 0):
+                raise ValueError("u_dir and v_dir must be finite and vanish exactly where |u| and |v| do")
+        except OverflowError:  # an int past the float range; no repr: past 4300 digits it has none
+            raise ValueError("a label entry is past the float range, so it is not finite") from None
 
     @property
     def gamma(self) -> complex:
@@ -92,13 +95,17 @@ def as_label(gamma) -> SpinorLabel:
     """Coerce a complex number (infinite: the pole) or label to a SpinorLabel.
 
     A gamma with a NaN part names no point, not even the pole, and raises
-    ValueError, as a bool does, though Python counts it a number.
+    ValueError; so do a bool, though Python counts it a number, and an int
+    past the float range.
     """
     if isinstance(gamma, SpinorLabel):
         return gamma
     if isinstance(gamma, bool) or getattr(gamma, "dtype", None) == bool:  # numpy's bools too
         raise ValueError(f"gamma must be a number, got {gamma!r}")
-    g = complex(gamma)
+    try:
+        g = complex(gamma)
+    except OverflowError:
+        raise ValueError("gamma is past the float range, so it is not finite") from None
     if cmath.isnan(g):
         raise ValueError(f"gamma={g} has a NaN part")
     if math.isinf(abs(g)):
@@ -165,21 +172,23 @@ def _sqrt_binomials(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sqrt C(2j,k) over k = 0..2j, big, log C(2j,k) / 2 over k in big).
 
     `big` holds the k whose binomial is past the float range (from 2j = 1030
-    on); their entries of the first array are 0.
+    on); their entries of the first array are 0.  That array is allocated
+    before the loop, so a 2j whose 2j + 1 entries cannot exist is refused by
+    numpy at once: ValueError past the index range, MemoryError past memory.
     """
     # Exact integers, each from the last: C(n, i+1) = C(n, i) (n - i) / (i + 1).
     # One is held at a time.
-    exact, big, log_c = [], [], []
+    sqrt_c = np.zeros(twice_j + 1)
+    big, log_c = [], []
     binomial = 1
     for i in range(twice_j + 1):
         if binomial <= sys.float_info.max:
-            exact.append(binomial)
+            sqrt_c[i] = binomial
         else:
-            exact.append(0)
             big.append(i)
             log_c.append(math.log(binomial))
         binomial = binomial * (twice_j - i) // (i + 1)
-    return np.sqrt(np.array(exact, dtype=float)), np.array(big, dtype=np.intp), 0.5 * np.array(log_c)
+    return np.sqrt(sqrt_c, out=sqrt_c), np.array(big, dtype=np.intp), 0.5 * np.array(log_c)
 
 
 def _binomial_weights(twice_j: int, u_abs, v_abs) -> np.ndarray:
@@ -230,7 +239,8 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     The moduli |u| = cos(theta/2) and |v| = sin(theta/2) are used instead
     of raw powers of |gamma| so that large 2j and large |gamma| neither
     overflow nor lose the pole limit: gamma -> infinity is (0, 1), which
-    lands on |j,+j>_z exactly.
+    lands on |j,+j>_z exactly.  A 2j too large for 2j + 1 amplitudes is
+    refused at once: numpy's ValueError or MemoryError.
     """
     return SpinState(j, _amplitudes(_spin(j).twice_value, [gamma])[0])
 

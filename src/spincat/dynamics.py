@@ -29,7 +29,9 @@ multiplies amplitudes by phases and builds no d x d complex unitary.
 `_rotated_identity_routes` applies the y twist as a function of Jy and
 conjugates the diagonal twist by the pi/2 x rotation, both through
 `su2._apply_function`.  `kerr_hamiltonian` is the dense Hamiltonian; the
-tests exponentiate it as the reference for both.
+tests exponentiate it as the reference for both, reaching it through
+`tests/_oracles.py`, as the package does not export it.  It is defined
+here only until the benchmark stops reading it by this module's name.
 """
 from __future__ import annotations
 

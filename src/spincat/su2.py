@@ -7,7 +7,9 @@ is the one reader of V: `rotate`, the coherent rotation and the y twist
 all go through it.  The generator matrices and `expm_hermitian`, which
 exponentiates any Hermitian generator by dense eigendecomposition, are the
 dense reference the state kernels are tested against; nothing in the
-pipeline calls them.
+pipeline calls them, the package does not export them, and the tests reach
+them through `tests/_oracles.py`.  They are defined here only until the
+benchmark stops reading them by this module's name.
 
 The pipeline reads three structures: J+'s band (`_ladder`), the weights m
 and Jx's eigenvectors V.  `verify` checks the algebra on exactly these, in
@@ -109,9 +111,6 @@ class SpinState:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _unit_vector(self.amplitudes, _spin(self.j).dim))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True)

@@ -8,30 +8,25 @@ types through their dense matrices only.  One oracle reads a library
 routine on purpose: `amplitudes_one_label` keeps the per-label phase
 formula on `coherent._binomial_weights`, the bit-for-bit reference of the
 batched builder.
+
+This module is also the tests' one door to the dense reference, the
+`DENSE_REFERENCE` names, which `spincat` does not export: every test
+imports them from here.  They are still defined in `spincat.su2`,
+`spincat.dynamics` and `spincat.errors`, where the benchmark reads them,
+so moving them into this file edits no other test.
 """
 import math
 import sys
 
 import numpy as np
 
-from spincat import (
-    HalfInteger,
-    IrrepMismatch,
-    SpinOperator,
-    SpinState,
-    TwoModeState,
-    as_label,
-    coherent_expansion,
-    expm_hermitian,
-    jminus,
-    jplus,
-    jx,
-    jy,
-    jz,
-    kerr_hamiltonian,
-    m_values,
-)
+from spincat import HalfInteger, IrrepMismatch, SpinState, TwoModeState, as_label, coherent_expansion, m_values
 from spincat.coherent import _binomial_weights
+from spincat.dynamics import kerr_hamiltonian
+from spincat.errors import NonHermitianInput
+from spincat.su2 import SpinOperator, casimir, expm_hermitian, jminus, jplus, jx, jy, jz
+
+DENSE_REFERENCE = (SpinOperator, jz, jplus, jminus, jx, jy, casimir, expm_hermitian, kerr_hamiltonian, NonHermitianInput)
 
 
 def coherent_amplitudes_direct(twice_j: int, gamma: complex) -> np.ndarray:

@@ -9,22 +9,16 @@ import time
 
 import numpy as np
 
-from _oracles import commutator
+from _oracles import casimir, commutator, jminus, jplus, jx, jy, jz
 from spincat import (
     BlochDirection,
     HalfInteger,
     SpinState,
     bloch_direction,
-    casimir,
     coherent_expansion,
     error_propagation_uncertainty,
     fidelity,
     fit_two_component,
-    jminus,
-    jplus,
-    jx,
-    jy,
-    jz,
     make_noon,
     noon_fidelity,
     noon_signal,

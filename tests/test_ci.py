@@ -3,8 +3,10 @@ every benchmark workload under its tracer and the installed `spincat
 verify` entry point; the pytest configuration lets a failing property
 test be reported without ending the session; no package or test
 module keeps an import it does not read; the package reads every
-module-level private name it defines; the README's Layout block names
-every package module; and every `spincat` command in the README parses.
+module-level private name it defines; `spincat` exports no name of the
+dense reference, which the tests import from `_oracles` alone; the
+README's Layout block names every package module; and every `spincat`
+command in the README parses.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
@@ -18,6 +20,8 @@ from pathlib import Path
 
 import pytest
 
+import spincat
+from _oracles import DENSE_REFERENCE
 from spincat import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +118,24 @@ def test_every_private_package_name_is_read():
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert private, "no private name found: the walk above is broken"
     assert private <= read, sorted(private - read)
+
+
+DENSE_NAMES = {"SpinOperator", "jz", "jplus", "jminus", "jx", "jy", "casimir", "expm_hermitian", "kerr_hamiltonian", "NonHermitianInput"}
+
+
+def test_the_dense_reference_reaches_the_tests_through_oracles_alone():
+    # The package exports the pipeline.  The dense reference stays defined in
+    # the modules the benchmark reads, and one test module re-exports it, so
+    # moving the definitions into the tests edits no other test file.
+    assert not DENSE_NAMES & set(dir(spincat))
+    assert {obj.__name__ for obj in DENSE_REFERENCE} == DENSE_NAMES
+    importers = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("spincat"):
+                if DENSE_NAMES & {alias.name for alias in node.names}:
+                    importers.add(path.name)
+    assert importers == {"_oracles.py"}
 
 
 def test_readme_layout_names_every_package_module():

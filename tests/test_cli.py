@@ -562,6 +562,22 @@ def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("coherent", "--twice-j", "100000000000000000", "--gamma", "1", "--out", "{dir}/c.json"),
+        ("noon", "--n", "100000000000000000", "--out", "{dir}/n.json"),
+    ],
+)
+def test_a_size_past_memory_exits_2_before_the_exact_binomials(tmp_path, capsys, argv):
+    # 2j + 1 floats past any address space, though numpy can describe the
+    # array: the binomial table is allocated before its exact loop, so
+    # numpy's MemoryError comes at once, not after 10^17 big-int steps.
+    rc, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (rc, out, err) == (2, "", "error: out of memory for this size\n")
+    assert not list(tmp_path.iterdir())
+
+
 SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
 FLOATS = ("0", "0.5", "nan", "inf", "1e400", "1e308", "x")
 GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0")

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import spincat
+from _oracles import SpinOperator, casimir, expm_hermitian, jminus, jplus, jx, jy, jz, kerr_hamiltonian
 from spincat import (
     BlochDirection,
     HalfInteger,
@@ -28,27 +29,18 @@ from spincat import (
     IrrepMismatch,
     NonFinitePhase,
     PoleLabel,
-    SpinOperator,
     SpinorLabel,
     SpinState,
     TwoModeState,
     ZeroSpin,
     as_label,
     bloch_direction,
-    casimir,
     cat_scan,
     coherent_expansion,
     error_propagation_uncertainty,
-    expm_hermitian,
     fidelity,
     fit_two_component,
     husimi_grid,
-    jminus,
-    jplus,
-    jx,
-    jy,
-    jz,
-    kerr_hamiltonian,
     m_values,
     make_noon,
     noon_fidelity,
@@ -139,8 +131,17 @@ REFUSED = [
     ("as_label", "bool gamma", lambda: as_label(True), ValueError, "gamma must be a number"),
     ("as_label", "numpy bool gamma", lambda: as_label(np.True_), ValueError, "gamma must be a number"),
     ("as_label", "0-d bool array gamma", lambda: as_label(np.array(True)), ValueError, "gamma must be a number"),
+    ("as_label", "int gamma past the float range", lambda: as_label(10**400), ValueError, "gamma is past the float range"),
+    ("SpinorLabel", "modulus of 5001 digits", lambda: SpinorLabel(10**5000, 0.0, 1, 0), ValueError, "past the float range"),
+    ("SpinorLabel", "direction past the float range", lambda: SpinorLabel(1.0, 0.0, 10**400, 0), ValueError, "past the float range"),
+    ("rotate_label", "int gamma past the float range", lambda: rotate_label(10**400, "x", 0.3), ValueError, "gamma is past the float range"),
     ("bloch_direction", "NaN gamma", lambda: bloch_direction(complex(INF, NAN)), ValueError, None),
     ("coherent_expansion", "NaN gamma", lambda: coherent_expansion(J4, complex(0.0, NAN)), ValueError, None),
+    # 2j + 1 entries past numpy's index range, then past any address space:
+    # refused at once, before the exact binomial loop.
+    ("coherent_expansion", "2j past the index range", lambda: coherent_expansion(HalfInteger(10**30), 1j), ValueError, "dimension"),
+    ("coherent_expansion", "2j past memory", lambda: coherent_expansion(HalfInteger(10**17), 1j), MemoryError, None),
+    ("make_noon", "N past the index range", lambda: make_noon(10**30), ValueError, "dimension"),
     ("overlap", "mismatched j", lambda: overlap(STATE, OTHER_J), IrrepMismatch, None),
     ("fidelity", "mismatched j", lambda: fidelity(STATE, OTHER_J), IrrepMismatch, None),
     ("husimi_grid", "bool n_phi", lambda: husimi_grid(STATE, 3, True), ValueError, "n_phi must be an integer"),

@@ -7,7 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    expm_hermitian,
+    jy,
     jy_extremal_states,
+    jz,
+    kerr_hamiltonian,
     quarter_evolve_with_lambda,
     quarter_period_unitary_dense,
     quarter_phase_factors,
@@ -24,9 +28,6 @@ from spincat import (
     coherent_expansion,
     fidelity,
     fit_two_component,
-    jy,
-    jz,
-    kerr_hamiltonian,
     predicted_cat,
     quarter_period_evolve,
     rotate,
@@ -36,7 +37,6 @@ from spincat import (
 )
 from spincat import su2
 from spincat.dynamics import CatScanRow, _quarter_period_cats, _rotated_identity_routes
-from spincat.su2 import expm_hermitian
 from spincat.verify import run_suite
 
 
