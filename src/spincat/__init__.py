@@ -47,7 +47,6 @@ from .schwinger import (
     noon_state,
     off_support_mass,
     spin_to_fock,
-    verify_schwinger_realization,
 )
 from .metrology import (
     ScalingRow,
@@ -56,5 +55,6 @@ from .metrology import (
     quantum_fisher_information,
     scaling_table,
 )
+from .verify import verify_schwinger_realization
 
 __version__ = "0.1.0"

@@ -59,16 +59,20 @@ def _emit(payload: dict):
 
 
 def parse_complex(text: str) -> complex:
-    """Accept '0.3+0.4i', '1j', '2', 'inf' (the pole)."""
+    """Accept '0.3+0.4i', '1j', '2' and a spelled-out infinity, 'inf' or '-infj' (the pole).
+
+    An 'i' is the unit only at the end, as a 'j' is; before it, it is part of
+    'inf'.  A number that overflows to infinity, '1e400', is refused as not finite.
+    """
     cleaned = text.strip().lower().replace(" ", "")
-    if cleaned in ("inf", "+inf", "infinity"):
-        return complex(float("inf"), 0.0)
     try:
-        value = complex(cleaned.replace("i", "j"))
+        value = complex(cleaned[:-1] + "j" if cleaned.endswith("i") else cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from exc
     if cmath.isnan(value):
         raise argparse.ArgumentTypeError(f"complex number {text!r} has a NaN part")
+    if cmath.isinf(value) and "inf" not in cleaned:
+        raise argparse.ArgumentTypeError(f"{text!r} is past the float range, so it is not finite")
     return value
 
 

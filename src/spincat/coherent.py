@@ -7,11 +7,11 @@ Gilmore & Thomas, PRA 6, 2211 (1972)):
 
 so (1, 0) is |j,-j>_z and the pole (0, 1), an ordinary label, is |j,+j>_z.
 Bloch angles give (cos(theta/2), e^{i phi} sin(theta/2)) and gamma = v/u =
-e^{i phi} tan(theta/2); the state is also e^{i phi k} exp(i theta Jy) |j,-j>_z
-(`_rotated_lowest`).  A rotation about x or y only moves the label
-(`rotate_label`), global phase included.  All state comparisons elsewhere in
-the package use fidelity |<a|b>|; global phases are physically meaningless
-except where a test pins one deliberately.
+e^{i phi} tan(theta/2); the state is also e^{i phi k} exp(i theta Jy) |j,-j>_z,
+verify's second route (`verify._rotated_lowest`).  A rotation about x or y
+only moves the label (`rotate_label`), global phase included.  All state
+comparisons elsewhere in the package use fidelity |<a|b>|; global phases
+are physically meaningless except where a test pins one deliberately.
 """
 from __future__ import annotations
 
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IrrepMismatch, PoleLabel, _choice, _finite, _size
+from .errors import IrrepMismatch, _choice, _finite, _size
 from .halfint import HalfInteger, _spin
-from .su2 import SpinState, _apply_function, _per_twice_j, _weights
+from .su2 import SpinState, _per_twice_j, _weights
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -81,8 +81,8 @@ class SpinorLabel:
         """(arg u, arg v), as `np.angle` reads them from `u_dir` and `v_dir`.
 
         Computed per read and not kept: `bloch_direction` reads it once per
-        label, and `_amplitudes` and `_rotated_lowest` read the same numbers,
-        bit for bit, for all their labels at once (`_label_columns`).
+        label, and `_amplitudes` and `verify._rotated_lowest` read the same
+        numbers, bit for bit, for all their labels at once (`_label_columns`).
         """
         return tuple(np.angle((self.u_dir, self.v_dir)).tolist())
 
@@ -243,32 +243,6 @@ def coherent_expansion(j: HalfInteger, gamma) -> SpinState:
     refused at once: numpy's ValueError or MemoryError.
     """
     return SpinState(j, _amplitudes(_spin(j).twice_value, [gamma])[0])
-
-
-def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
-    """The rotation of |j,-j>_z onto each label's |j,gamma>, one column per label.
-
-    With gamma = e^{i phi} tan(theta/2), column n is e^{i phi_n k} times
-    e_0 + (e^{i theta_n Jy} - 1) e_0, k = j + m: `rotate`'s y rotation by
-    -theta_n, then a diagonal phase, both exact at every j, so the column
-    matches `coherent_expansion` entry by entry, global phase included.
-    `_apply_function` takes every label's e^{i theta w} - 1 as one d x n
-    matrix, so one real product with Jx's eigenvectors serves them all.
-
-    A label whose u carries a phase gets the column of its gamma, that
-    label's state up to a global phase.  Raises PoleLabel at the pole, where
-    phi is not unique; `coherent_expansion` builds that state directly.
-    """
-    labels = [as_label(g) for g in labels]
-    if any(not label.u_abs for label in labels):
-        raise PoleLabel("the rotation from |j,-j> requires a finite label")
-    thetas = [2.0 * math.atan(abs(label.gamma)) for label in labels]
-    _, _, arg_u, arg_v = _label_columns(labels)
-    phis = arg_v - arg_u  # as in `bloch_direction`
-    lowest = np.eye(j.dim, 1)  # |j,-j>_z as a column
-    out = _apply_function(j, "y", lambda w: np.expm1(1j * np.outer(w, thetas)), lowest)
-    out[0] += 1.0
-    return np.exp(1j * np.outer(np.arange(j.dim), phis)) * out
 
 
 def overlap(a: SpinState, b: SpinState) -> complex:

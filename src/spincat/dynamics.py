@@ -25,13 +25,12 @@ verify reads `predicted_cat`'s two coefficients on the columns the fit read
 and builds no coherent state of its own.
 
 The axis-z Hamiltonian is diagonal in |j,m>_z, so `quarter_period_evolve`
-multiplies amplitudes by phases and builds no d x d complex unitary.
-`_rotated_identity_routes` applies the y twist as a function of Jy and
-conjugates the diagonal twist by the pi/2 x rotation, both through
-`su2._apply_function`.  `kerr_hamiltonian` is the dense Hamiltonian; the
-tests exponentiate it as the reference for both, reaching it through
-`tests/_oracles.py`, as the package does not export it.  It is defined
-here only until the benchmark stops reading it by this module's name.
+multiplies amplitudes by phases and builds no d x d complex unitary; the
+y twist's two routes are verify's own (`verify._rotated_identity_routes`).
+`kerr_hamiltonian` is the dense Hamiltonian; the tests exponentiate it as
+the reference for both axes, reaching it through `tests/_oracles.py`, as
+the package does not export it.  It is defined here only until the
+benchmark stops reading it by this module's name.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ import numpy as np
 from .coherent import CatDecomposition, _amplitudes, as_label, rotate_label
 from .errors import HalfIntegerUnsupported, NonFinitePhase, PoleLabel, ZeroSpin, _choice, _finite
 from .halfint import HalfInteger, _spin
-from .su2 import SpinOperator, SpinState, _apply_function, _weights, jy, jz, rotate, weight_state
+from .su2 import SpinOperator, SpinState, _weights, jy, jz
 
 _POLE_REFUSAL = "need a label off the poles so the two components differ"
 
@@ -193,19 +192,3 @@ def rotated_cat_prediction(j: HalfInteger) -> SpinState:
     cat = predicted_cat(j, rotate_label(math.inf, "x", -math.pi / 2.0))
     back = tuple((rotate_label(label, "x", math.pi / 2.0), c) for label, c in cat.components)
     return CatDecomposition(j, back).materialize()
-
-
-def _rotated_identity_routes(j: HalfInteger, omega: float) -> tuple[SpinState, SpinState]:
-    """The quarter-period y-twist of |j,j>_z, (directly, by conjugation).
-
-    Directly: omega Jy + Jy^2 / 2j is a function of Jy, so `_apply_function`
-    applies its phases on Jx's eigenvalues w.  By conjugation: the diagonal
-    z-axis twist between the pi/2 x rotation and its inverse.  Neither
-    exponentiates a matrix.  The rotation takes Jz to -Jy, so the second
-    route twists with -omega; the two agree once the linear phase clears.
-    """
-    top = weight_state(j, j.twice_value)
-    direct = SpinState(j, _apply_function(j, "y", lambda w: _quarter_phases(j, omega, w), top.amplitudes))
-    turned = rotate(top, "x", -math.pi / 2.0)
-    conjugated = rotate(quarter_period_evolve(turned, omega), "x", math.pi / 2.0)
-    return direct, conjugated

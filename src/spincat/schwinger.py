@@ -5,7 +5,8 @@ Every operator in play conserves the total photon number, so the two-mode
 space is built only on the fixed-N sector (dimension N + 1, amplitudes
 indexed by n_a = 0..N with n_b = N - n_a).  The weight basis of spin
 j = N/2 maps onto that sector by |j,m>_z = |j+m>_a (x) |j-m>_b, which with
-ascending m ordering is the identity permutation on amplitude arrays.
+ascending m ordering is the identity permutation on amplitude arrays; the
+mode operators there are checked by `verify.verify_schwinger_realization`.
 
 Photon numbers go through `errors._size`, the package's one size rule:
 `InvalidN` for the ideal probe or the pipeline, ValueError for a two-mode
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import su2
 from .coherent import coherent_expansion
 from .dynamics import quarter_period_evolve
 from .errors import InvalidN, _choice, _finite, _size
-from .halfint import HalfInteger, _spin, m_values
+from .halfint import HalfInteger
 from .su2 import SpinState, _unit_vector, rotate
 
 
@@ -60,41 +60,6 @@ def spin_to_fock(state: SpinState) -> TwoModeState:
 def fock_to_spin(state: TwoModeState) -> SpinState:
     """Inverse of spin_to_fock; exact, a pure relabeling."""
     return SpinState(HalfInteger(state.n_total), state.amplitudes)
-
-
-def _sector_bands(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n_a, n_b, sqrt((n_a + 1) n_b)) over the N-photon sector, n_a = 0..N.
-
-    The last array, over n_a = 0..N-1, is a^dag b's band below the diagonal:
-    its entry for n_a -> n_a + 1.
-    """
-    n_a = np.arange(n_total + 1, dtype=float)
-    n_b = n_total - n_a
-    return n_a, n_b, np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])
-
-
-def verify_schwinger_realization(j: HalfInteger) -> float:
-    """Largest residual between the mode-built and ladder-built generators.
-
-    On the N = 2j sector J+ = a^dag b has the band sqrt((n_a+1) n_b),
-    Jz = (n_a - n_b)/2 and J0 = (n_a + n_b)/2 are diagonal; through the
-    weight <-> Fock relabeling these are compared with J+'s band
-    (`su2._ladder`), the weights m and j.  J- = a b^dag is the adjoint of
-    a^dag b, so its residual is J+'s.  J^2 = J0(J0 + 1) is compared on the
-    diagonal, where the mode-built J^2 lives (`su2._ladder_squares`).  All
-    in O(d).  Contract: <= 1e-12 in Frobenius norm.
-    """
-    n_a, n_b, lower = _sector_bands(_spin(j).twice_value)
-    jz_f = (n_a - n_b) / 2.0
-    j0 = (n_a + n_b) / 2.0
-    below, above = su2._ladder_squares(lower)
-    residuals = [
-        np.linalg.norm(lower - su2._ladder(j)),
-        np.linalg.norm(jz_f - m_values(j)),
-        np.linalg.norm((below + above) / 2.0 + jz_f * jz_f - j0 * (j0 + 1.0)),
-        np.linalg.norm(j0 - j.value),
-    ]
-    return float(np.max(residuals))
 
 
 def make_noon(n_total: int, omega: float = 0.0, gamma_choice: str = "i") -> TwoModeState:

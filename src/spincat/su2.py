@@ -3,18 +3,18 @@
 `_apply_function` applies a function of Jx or Jy to a state without
 building a d x d complex matrix: it takes the values of the function on the
 weights m, which are Jx's eigenvalues exactly, in Jx's eigenbasis V.  It
-is the one reader of V: `rotate`, the coherent rotation and the y twist
-all go through it.  The generator matrices and `expm_hermitian`, which
-exponentiates any Hermitian generator by dense eigendecomposition, are the
-dense reference the state kernels are tested against; nothing in the
-pipeline calls them, the package does not export them, and the tests reach
-them through `tests/_oracles.py`.  They are defined here only until the
-benchmark stops reading them by this module's name.
+is the one reader of V: `rotate` is its one pipeline caller, and `verify`,
+which defines its own second routes, the only other.  The generator
+matrices and `expm_hermitian`, which exponentiates any Hermitian generator
+by dense eigendecomposition, are the dense reference the state kernels are
+tested against; nothing in the pipeline calls them, the package does not
+export them, and the tests reach them through `tests/_oracles.py`.  They
+are defined here only until the benchmark stops reading them by this
+module's name.
 
 The pipeline reads three structures: J+'s band (`_ladder`), the weights m
 and Jx's eigenvectors V.  `verify` checks the algebra on exactly these, in
-O(d) from the band and its squares (`_ladder_squares`) and in O(d^2) for
-Jx V = V diag(m).
+O(d) from the band and in O(d^2) for Jx V = V diag(m).
 
 Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
@@ -154,18 +154,6 @@ def _ladder(j: HalfInteger) -> np.ndarray:
     return np.sqrt(j.casimir_eigenvalue() - m * (m + 1))
 
 
-def _ladder_squares(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(l_{k-1}^2, l_k^2) over k = 0..2j, l_{-1} = l_{2j} = 0: the diagonals of J+J- and J-J+.
-
-    `ladder` is a J+ band, l_k below the diagonal, so [J+, J-] has diagonal
-    l_{k-1}^2 - l_k^2 and the Casimir Jx^2 + Jy^2 + Jz^2 = (J+J- + J-J+)/2 + Jz^2
-    is diagonal, (l_{k-1}^2 + l_k^2)/2 + m_k^2.
-    """
-    sq = np.zeros(ladder.size + 2)
-    sq[1:-1] = ladder * ladder
-    return sq[:-1], sq[1:]
-
-
 # verify sweeps every 2j up to here again in each section; past it a table
 # would pin O(d) to O(d^2) memory after its caller is done with it.
 _KEPT_MAX_TWICE_J = 64
@@ -253,8 +241,8 @@ def expm_hermitian(h: SpinOperator, t: float) -> SpinOperator:
     """The unitary exp(-i H t) for a Hermitian generator H.
 
     Computed by dense eigendecomposition, which keeps the result unitary
-    to rounding.  This is the reference route: `rotate`, the rotations in
-    `coherent` and the diagonal twist in `dynamics` are tested against it.
+    to rounding.  This is the reference route: `rotate`, verify's own
+    routes and the diagonal twist in `dynamics` are tested against it.
 
     Raises ValueError for a t that is not a finite real, and
     NonHermitianInput if H fails the Hermiticity gate.

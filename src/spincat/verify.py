@@ -8,12 +8,15 @@ A fidelity is reported as its deficit 1 - F.
 The checks read the structures the pipeline runs on, not dense products of
 them: the algebra from J+'s band (`su2._ladder`) and the weights m in O(d),
 Jx's kept eigenvectors (`su2._jx_eigensystem`) by Jx V = V diag(m) with Jx
-applied as its band in O(d^2), the Fock sector from its own band.  The
-coherent rotation (a y rotation of |j,-j>) and the rotated identity, which
-only this module checks, are products with V (`su2._apply_function`), so no
-check exponentiates a matrix or forms a d x d complex product.  The cat
-identity reads `predicted_cat`'s two coefficients on the d x 2 basis the cat
-route built for its fit, so each (j, gamma) costs one `_amplitudes` call.
+applied as its band in O(d^2), the Fock sector from its own band
+(`verify_schwinger_realization`, which `spincat` exports).  What only this
+module runs is defined here, and no pipeline module imports it: the band's
+squares, the sector's bands, the check, and two second routes, the coherent
+rotation (a y rotation of |j,-j>) and the rotated identity.  Both are
+products with V (`su2._apply_function`), so no check exponentiates a
+matrix or forms a d x d complex product.  The cat identity reads
+`predicted_cat`'s two coefficients on the d x 2 basis the cat route built
+for its fit, so each (j, gamma) costs one `_amplitudes` call.
 The coherent checks take each 2j's labels as one batch: one `_amplitudes`
 call, with each label's distance and norm computed in `np.linalg.norm`'s
 own arithmetic (`_row_norms`), so every value is the one a per-label loop
@@ -29,7 +32,7 @@ import numpy as np
 from . import su2
 from .coherent import (
     _amplitudes,
-    _rotated_lowest,
+    _label_columns,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -38,20 +41,12 @@ from .coherent import (
     stereographic,
     BlochDirection,
 )
-from .dynamics import _quarter_period_cats, _rotated_identity_routes, predicted_cat, rotated_cat_prediction
-from .errors import _size
-from .halfint import HalfInteger, m_values
+from .dynamics import _quarter_period_cats, _quarter_phases, predicted_cat, quarter_period_evolve, rotated_cat_prediction
+from .errors import PoleLabel, _size
+from .halfint import HalfInteger, _spin, m_values
 from .metrology import error_propagation_uncertainty, noon_signal, quantum_fisher_information
-from .schwinger import (
-    fock_to_spin,
-    make_noon,
-    noon_fidelity,
-    noon_state,
-    off_support_mass,
-    spin_to_fock,
-    verify_schwinger_realization,
-)
-from .su2 import SpinState, weight_state
+from .schwinger import fock_to_spin, make_noon, noon_fidelity, noon_state, off_support_mass, spin_to_fock
+from .su2 import SpinState, _apply_function, rotate, weight_state
 
 
 @dataclass(frozen=True)
@@ -79,6 +74,18 @@ def _random_gammas(rng, count) -> np.ndarray:
     return mags * np.exp(1j * phases)
 
 
+def _ladder_squares(ladder: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l_{k-1}^2, l_k^2) over k = 0..2j, l_{-1} = l_{2j} = 0: the diagonals of J+J- and J-J+.
+
+    `ladder` is a J+ band, l_k below the diagonal, so [J+, J-] has diagonal
+    l_{k-1}^2 - l_k^2 and the Casimir Jx^2 + Jy^2 + Jz^2 = (J+J- + J-J+)/2 + Jz^2
+    is diagonal, (l_{k-1}^2 + l_k^2)/2 + m_k^2.
+    """
+    sq = np.zeros(ladder.size + 2)
+    sq[1:-1] = ladder * ladder
+    return sq[:-1], sq[1:]
+
+
 def _ladder_residuals(j: HalfInteger, ladder: np.ndarray) -> tuple[float, float]:
     """(commutator, Casimir) residuals of one 2j from J+'s band, each ||.||_F / d.
 
@@ -89,7 +96,7 @@ def _ladder_residuals(j: HalfInteger, ladder: np.ndarray) -> tuple[float, float]
     (l_{k-1}^2 + l_k^2)/2 + m_k^2 = j(j+1), so it commutes with everything.
     """
     m = m_values(j)
-    below, above = su2._ladder_squares(ladder)
+    below, above = _ladder_squares(ladder)
     d = j.dim
     # np.max, not max: a NaN in either norm must reach `_bound`.
     comm = np.max([np.linalg.norm(below - above - 2.0 * m), np.linalg.norm((np.diff(m) - 1.0) * ladder)]) / d
@@ -141,6 +148,32 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     """
     re, im = rows.real[:, None, :], rows.imag[:, None, :]
     return np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+
+
+def _rotated_lowest(j: HalfInteger, labels) -> np.ndarray:
+    """The rotation of |j,-j>_z onto each label's |j,gamma>, one column per label.
+
+    With gamma = e^{i phi} tan(theta/2), column n is e^{i phi_n k} times
+    e_0 + (e^{i theta_n Jy} - 1) e_0, k = j + m: `rotate`'s y rotation by
+    -theta_n, then a diagonal phase, both exact at every j, so the column
+    matches `coherent_expansion` entry by entry, global phase included.
+    `_apply_function` takes every label's e^{i theta w} - 1 as one d x n
+    matrix, so one real product with Jx's eigenvectors serves them all.
+
+    A label whose u carries a phase gets the column of its gamma, that
+    label's state up to a global phase.  Raises PoleLabel at the pole, where
+    phi is not unique; `coherent_expansion` builds that state directly.
+    """
+    labels = [as_label(g) for g in labels]
+    if any(not label.u_abs for label in labels):
+        raise PoleLabel("the rotation from |j,-j> requires a finite label")
+    thetas = [2.0 * math.atan(abs(label.gamma)) for label in labels]
+    _, _, arg_u, arg_v = _label_columns(labels)
+    phis = arg_v - arg_u  # as in `bloch_direction`
+    lowest = np.eye(j.dim, 1)  # |j,-j>_z as a column
+    out = _apply_function(j, "y", lambda w: np.expm1(1j * np.outer(w, thetas)), lowest)
+    out[0] += 1.0
+    return np.exp(1j * np.outer(np.arange(j.dim), phis)) * out
 
 
 def _coherent_section(rng, max_twice_j: int):
@@ -215,6 +248,22 @@ def _cat_section(rng, max_twice_j: int):
     yield _bound("cat-identity", "relative phase pi/2 + j*pi", phases, 1e-8)
 
 
+def _rotated_identity_routes(j: HalfInteger, omega: float) -> tuple[SpinState, SpinState]:
+    """The quarter-period y-twist of |j,j>_z, (directly, by conjugation).
+
+    Directly: omega Jy + Jy^2 / 2j is a function of Jy, so `_apply_function`
+    applies its phases on Jx's eigenvalues w.  By conjugation: the diagonal
+    z-axis twist between the pi/2 x rotation and its inverse.  Neither
+    exponentiates a matrix.  The rotation takes Jz to -Jy, so the second
+    route twists with -omega; the two agree once the linear phase clears.
+    """
+    top = weight_state(j, j.twice_value)
+    direct = SpinState(j, _apply_function(j, "y", lambda w: _quarter_phases(j, omega, w), top.amplitudes))
+    turned = rotate(top, "x", -math.pi / 2.0)
+    conjugated = rotate(quarter_period_evolve(turned, omega), "x", math.pi / 2.0)
+    return direct, conjugated
+
+
 def _rotated_section(max_twice_j: int):
     limit = min(30, max_twice_j // 2)
     deficits = []
@@ -224,6 +273,41 @@ def _rotated_section(max_twice_j: int):
         target = rotated_cat_prediction(j)
         deficits.extend(1.0 - fidelity(a, b) for a, b in ((target, direct), (target, conjugated), (direct, conjugated)))
     yield _bound("rotated-identity", f"both routes vs prediction, j<={limit}", deficits, 1e-10)
+
+
+def _sector_bands(n_total: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n_a, n_b, sqrt((n_a + 1) n_b)) over the N-photon sector, n_a = 0..N.
+
+    The last array, over n_a = 0..N-1, is a^dag b's band below the diagonal:
+    its entry for n_a -> n_a + 1.
+    """
+    n_a = np.arange(n_total + 1, dtype=float)
+    n_b = n_total - n_a
+    return n_a, n_b, np.sqrt((n_a[:-1] + 1.0) * n_b[:-1])
+
+
+def verify_schwinger_realization(j: HalfInteger) -> float:
+    """Largest residual between the mode-built and ladder-built generators.
+
+    On the N = 2j sector J+ = a^dag b has the band sqrt((n_a+1) n_b),
+    Jz = (n_a - n_b)/2 and J0 = (n_a + n_b)/2 are diagonal; through the
+    weight <-> Fock relabeling these are compared with J+'s band
+    (`su2._ladder`), the weights m and j.  J- = a b^dag is the adjoint of
+    a^dag b, so its residual is J+'s.  J^2 = J0(J0 + 1) is compared on the
+    diagonal, where the mode-built J^2 lives (`_ladder_squares`).  All
+    in O(d).  Contract: <= 1e-12 in Frobenius norm.
+    """
+    n_a, n_b, lower = _sector_bands(_spin(j).twice_value)
+    jz_f = (n_a - n_b) / 2.0
+    j0 = (n_a + n_b) / 2.0
+    below, above = _ladder_squares(lower)
+    residuals = [
+        np.linalg.norm(lower - su2._ladder(j)),
+        np.linalg.norm(jz_f - m_values(j)),
+        np.linalg.norm((below + above) / 2.0 + jz_f * jz_f - j0 * (j0 + 1.0)),
+        np.linalg.norm(j0 - j.value),
+    ]
+    return float(np.max(residuals))
 
 
 def _schwinger_section(max_twice_j: int):

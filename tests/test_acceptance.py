@@ -34,9 +34,8 @@ from spincat import (
     weight_state,
 )
 from spincat.cli import main
-from spincat.coherent import _rotated_lowest
-from spincat.dynamics import _rotated_identity_routes
 from spincat.statefile import load_spin_state, save_state
+from spincat.verify import _rotated_identity_routes, _rotated_lowest
 
 RNG_SEED = 20260810
 

@@ -4,9 +4,10 @@ verify` entry point; the pytest configuration lets a failing property
 test be reported without ending the session; no package or test
 module keeps an import it does not read; the package reads every
 module-level private name it defines; `spincat` exports no name of the
-dense reference, which the tests import from `_oracles` alone; the
-README's Layout block names every package module; and every `spincat`
-command in the README parses.
+dense reference, which the tests import from `_oracles` alone; the routes
+and checks only `verify` runs are defined there and no pipeline module
+imports it; the README's Layout block names every package module; and
+every `spincat` command in the README parses.
 
 The workflow itself needs a network to run, so only its text is checked.
 """
@@ -136,6 +137,41 @@ def test_the_dense_reference_reaches_the_tests_through_oracles_alone():
                 if DENSE_NAMES & {alias.name for alias in node.names}:
                     importers.add(path.name)
     assert importers == {"_oracles.py"}
+
+
+VERIFY_ONLY = {"_ladder_squares", "_rotated_lowest", "_rotated_identity_routes", "_sector_bands", "verify_schwinger_realization"}
+PIPELINE = {"su2", "coherent", "dynamics", "schwinger", "metrology"}
+
+
+def _imported_modules(tree):
+    """The dotted name of every module an import names; `from . import x` gives x."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module}.{alias.name}" if node.module else alias.name for alias in node.names)
+
+
+def test_verify_owns_the_routes_and_checks_only_it_runs():
+    # The pipeline modules hold the pipeline.  A second route or a check that
+    # only `spincat verify` runs lives in verify, which reads the pipeline;
+    # the pipeline never reads verify.
+    owners, appliers = {name: set() for name in VERIFY_ONLY}, set()
+    for path in sorted((ROOT / "src" / "spincat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in VERIFY_ONLY:
+                owners[node.name].add(path.stem)
+        for node in ast.walk(tree):
+            # A load or store, an attribute, a definition or an imported alias.
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else getattr(node, "name", None)
+            if name == "_apply_function":
+                appliers.add(path.stem)
+        if path.stem in PIPELINE:
+            assert not any("verify" in module.split(".") for module in _imported_modules(tree)), path.name
+    assert owners == {name: {"verify"} for name in VERIFY_ONLY}
+    assert appliers == {"su2", "verify"}
 
 
 def test_readme_layout_names_every_package_module():

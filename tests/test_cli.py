@@ -38,6 +38,23 @@ def test_parse_complex_forms():
         parse_complex("zz")
 
 
+def test_an_overflowed_gamma_is_refused_not_read_as_the_pole(tmp_path, capsys):
+    # complex("1e400") is infinite, but only an infinity spelled out names the pole.
+    out = tmp_path / "c.json"
+    rc, stdout, err = run(capsys, "coherent", "--twice-j", "2", "--gamma=1e400", "--out", str(out))
+    assert (rc, stdout) == (2, "")
+    assert "argument --gamma: '1e400' is past the float range, so it is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", ["inf", "+inf", "infinity", "-inf", "infj"])
+def test_a_spelled_out_infinity_is_the_pole(tmp_path, capsys, gamma):
+    out = tmp_path / "c.json"
+    rc, _, err = run(capsys, "coherent", "--twice-j", "2", f"--gamma={gamma}", "--out", str(out))
+    assert rc == 0, err
+    assert np.array_equal(load_spin_state(out).amplitudes, [0.0, 0.0, 1.0])
+
+
 def test_coherent_writes_expected_amplitudes(tmp_path, capsys):
     out = tmp_path / "c.json"
     rc, stdout, _ = run(capsys, "coherent", "--twice-j", "2", "--gamma", "0+1i", "--out", str(out))
@@ -580,7 +597,7 @@ def test_a_size_past_memory_exits_2_before_the_exact_binomials(tmp_path, capsys,
 
 SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
 FLOATS = ("0", "0.5", "nan", "inf", "1e400", "1e308", "x")
-GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0")
+GAMMAS = ("0+1i", "-0.5+2i", "inf", "nan", "0", "1e400")
 LISTS = ("1,2", "0", "2,-1", "1,,2", "x")
 IN_PATHS = ("{dir}/spin.json", "{dir}/two_mode.json", "{dir}/empty.json", "{dir}/missing.json")
 OUT_PATHS = ("{dir}/out.dat", "{dir}")

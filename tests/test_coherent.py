@@ -38,7 +38,8 @@ from spincat import (
     stereographic,
     weight_state,
 )
-from spincat.coherent import _amplitudes, _binomial_weights, _label_columns, _rotated_lowest, _sqrt_binomials
+from spincat.coherent import _amplitudes, _binomial_weights, _label_columns, _sqrt_binomials
+from spincat.verify import _rotated_lowest
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
 small_twice_j = st.integers(min_value=0, max_value=20)

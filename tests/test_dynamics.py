@@ -36,8 +36,8 @@ from spincat import (
     weight_state,
 )
 from spincat import su2
-from spincat.dynamics import CatScanRow, _quarter_period_cats, _rotated_identity_routes
-from spincat.verify import run_suite
+from spincat.dynamics import CatScanRow, _quarter_period_cats
+from spincat.verify import _rotated_identity_routes, run_suite
 
 
 def test_zero_spin_and_an_unknown_axis_are_refused():

@@ -20,7 +20,7 @@ from spincat import (
     verify_schwinger_realization,
     weight_state,
 )
-from spincat.schwinger import _sector_bands
+from spincat.verify import _sector_bands
 
 
 def test_extremal_weights_map_to_single_mode_occupations():

@@ -30,8 +30,9 @@ from _oracles import (
 )
 from spincat import HalfInteger, IrrepMismatch, SpinState, TwoModeState, m_values, make_noon, rotate, weight_state
 from spincat import su2
-from spincat.coherent import _rotated_lowest, _sqrt_binomials
+from spincat.coherent import _sqrt_binomials
 from spincat.su2 import _jx_eigensystem, _weights
+from spincat.verify import _rotated_lowest
 
 small_twice_j = st.integers(min_value=0, max_value=24)
 

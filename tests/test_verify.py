@@ -22,9 +22,7 @@ from spincat import (
     verify_schwinger_realization,
     weight_state,
 )
-from spincat import coherent, schwinger, su2
-from spincat.coherent import _rotated_lowest
-from spincat.dynamics import _rotated_identity_routes
+from spincat import coherent, su2
 from spincat import verify
 from spincat.verify import (
     _algebra_section,
@@ -34,6 +32,8 @@ from spincat.verify import (
     _ladder_residuals,
     _noon_section,
     _noon_states,
+    _rotated_identity_routes,
+    _rotated_lowest,
     _rotated_section,
     _schwinger_section,
 )
@@ -222,7 +222,7 @@ def test_one_perturbed_antipodal_row_fails_only_equatorial_antipodality(monkeypa
 
 @pytest.mark.parametrize("which", [0, 1, 2])
 def test_a_perturbed_fock_entry_fails_the_schwinger_check(monkeypatch, which):
-    bands = schwinger._sector_bands
+    bands = verify._sector_bands
 
     def corrupted(n_total):
         arrays = [a.copy() for a in bands(n_total)]
@@ -230,7 +230,7 @@ def test_a_perturbed_fock_entry_fails_the_schwinger_check(monkeypatch, which):
             arrays[which][2] *= 1.0 + 1e-9
         return tuple(arrays)
 
-    monkeypatch.setattr(schwinger, "_sector_bands", corrupted)
+    monkeypatch.setattr(verify, "_sector_bands", corrupted)
     assert verify_schwinger_realization(HalfInteger(6)) > 1e-12
     assert not _checks(_schwinger_section(MAX_TJ))["mode-operator residuals"]
 
@@ -268,13 +268,13 @@ def test_jx_eigensystem_residual_agrees_with_the_dense_oracle(corrupt):
 
 @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-6])
 def test_schwinger_residual_agrees_with_the_dense_oracle(monkeypatch, factor):
-    bands = schwinger._sector_bands
+    bands = verify._sector_bands
 
     def scaled(n_total):
         n_a, n_b, lower = bands(n_total)
         return n_a, n_b, _scaled_entry(lower, n_total // 2, factor)
 
-    monkeypatch.setattr(schwinger, "_sector_bands", scaled)
+    monkeypatch.setattr(verify, "_sector_bands", scaled)
     for tj in range(61):
         j = HalfInteger(tj)
         # The oracle's sector comes from the occupations alone; scale the same entry there.
