@@ -9,9 +9,17 @@ so (1, 0) is |j,-j>_z and the pole (0, 1), an ordinary label, is |j,+j>_z.
 Bloch angles give (cos(theta/2), e^{i phi} sin(theta/2)) and gamma = v/u =
 e^{i phi} tan(theta/2); the state is also e^{i phi k} exp(i theta Jy) |j,-j>_z,
 verify's second route (`verify._rotated_lowest`).  A rotation about x or y
-only moves the label (`rotate_label`), global phase included.  All state
-comparisons elsewhere in the package use fidelity |<a|b>|; global phases
-are physically meaningless except where a test pins one deliberately.
+only moves the label (`rotate_label`), global phase included.
+
+Labels reach amplitudes by one map, `_amplitudes`, one row per label:
+`coherent_expansion`, `CatDecomposition.materialize`, the cat basis
+(`dynamics._two_component_basis`) and verify's coherent section all call
+it.  Only `husimi_grid` forms its own phases, since its grid of labels is a
+product over theta and phi.
+
+All state comparisons elsewhere in the package use fidelity |<a|b>|;
+global phases are physically meaningless except where a test pins one
+deliberately.
 """
 from __future__ import annotations
 
@@ -285,8 +293,16 @@ def husimi_grid(state: SpinState, n_theta: int, n_phi: int):
 
     Returns (thetas, phis, q) with thetas = linspace(0, pi, n_theta),
     phis = linspace(0, 2pi, n_phi, endpoint=False) and
-    q[i, k] = |<j, gamma(theta_i, phi_k) | state>|^2 in [0, 1].  Raises
-    ValueError unless n_theta is an int >= 2 and n_phi an int >= 1.
+    q[i, k] = |<j, gamma(theta_i, phi_k) | state>|^2.  Raises ValueError
+    unless n_theta is an int >= 2 and n_phi an int >= 1.
+
+    q >= 0, and q <= 1 + 4 eps (j + 1) with eps = 2.2e-16 the float
+    epsilon: the overlap sums 2j + 1 rounded terms, so a state that meets
+    itself on the grid can read past 1.  Coherent states at grid labels
+    measured under half that bound (2.1e-13 at 2j = 1000); q is not
+    clamped.  The grid of labels is a product over theta and phi, so the
+    phases are formed separably on `_binomial_weights`' radial rows rather
+    than through `_amplitudes`.
     """
     n_theta, n_phi = _size(n_theta, 2, ValueError, "n_theta"), _size(n_phi, 1, ValueError, "n_phi")
     tj = state.j.twice_value

@@ -27,7 +27,11 @@ class SpinCatError(Exception):
 
 
 class NonHermitianInput(SpinCatError):
-    """A generator expected to be Hermitian failed the residual gate."""
+    """A generator expected to be Hermitian failed the residual gate.
+
+    Raised only by the dense reference (`su2.expm_hermitian`), which the
+    tests use as their oracle.
+    """
 
 
 class IrrepMismatch(SpinCatError):

@@ -19,8 +19,8 @@ O(d) from the band and in O(d^2) for Jx V = V diag(m).
 Per-2j tables follow one rule, `_per_twice_j`: a table is read-only, kept
 for every 2j up to 64, the range verify sweeps again in each section, and
 built afresh per call past 64, so a run of distinct large 2j holds nothing
-after its caller is done.  Jx's eigenvectors (`_jx_eigensystem`, ~0.77 MB
-kept in all), the weights m with J+'s band and the phases (-i)^k
+after its caller is done.  Jx's eigenvectors (`_jx_eigensystem`, V alone,
+since the eigenvalues are the weights m; ~0.77 MB kept in all), the weights m with J+'s band and the phases (-i)^k
 (`_weights`, ~68 kB, which `_apply_function`, the z twist and `mean_spin`
 read in place of rebuilding them per call) and the exact binomials
 (`coherent._sqrt_binomials`) are the only such tables.  `verify`'s algebra

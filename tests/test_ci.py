@@ -2,11 +2,12 @@
 every benchmark workload under its tracer and the installed `spincat
 verify` entry point; the pytest configuration lets a failing property
 test be reported without ending the session; no package or test
-module keeps an import it does not read; the package reads every
-module-level private name it defines; `spincat` exports no name of the
+module keeps an import it does not read; no test module defines a
+top-level name twice; the package reads every module-level private name
+it defines; `spincat` exports no name of the
 dense reference, which the tests import from `_oracles` alone; the routes
 and checks only `verify` runs are defined there and no pipeline module
-imports it; the README's Layout block names every package module; and
+imports it; the README's Layout block names exactly the package modules; and
 every `spincat` command in the README parses.
 
 The workflow itself needs a network to run, so only its text is checked.
@@ -97,6 +98,20 @@ def test_every_package_module_reads_what_it_imports():
         assert bound <= read, (path.name, sorted(bound - read))
 
 
+def test_no_test_module_defines_a_top_level_name_twice():
+    # A second `def test_x` silently replaces the first, which pytest then
+    # never runs; moving tests between modules is when that happens.
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        names = []
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        assert len(names) == len(set(names)), (path.name, sorted({name for name in names if names.count(name) > 1}))
+
+
 def test_every_private_package_name_is_read():
     # A module-level _name that nothing in the package reads is dead code left
     # behind by a deletion.  perfbench is left to the benchmark.
@@ -179,7 +194,7 @@ def test_readme_layout_names_every_package_module():
     layout = re.search(r"^## Layout\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
     listed = set(re.findall(r"^  (\w+\.py) ", layout, re.M))
     modules = {path.name for path in (ROOT / "src" / "spincat").glob("*.py")} - {"__init__.py"}
-    assert modules <= listed, sorted(modules - listed)
+    assert listed == modules, (sorted(modules - listed), sorted(listed - modules))
 
 
 def test_readme_commands_parse():

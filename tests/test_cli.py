@@ -321,41 +321,6 @@ def test_verify_algebra_holds_past_2j_128(max_twice_j):
     assert all(r.passed for r in results), [r.detail for r in results]
 
 
-def test_csv_cells_are_the_library_values(tmp_path, capsys):
-    state_path = tmp_path / "cat.json"
-    run(capsys, "cat", "--twice-j", "12", "--gamma", "0.3+0.8i", "--out", str(state_path))
-    # 65 x 64 = 4160 rows, more than one block of cli.CSV_BLOCK_ROWS
-    thetas, phis, q = husimi_grid(load_spin_state(state_path), 65, 64)
-    scan_rows = cat_scan([HalfInteger(tj) for tj in (1, 2, 5)], [0.0, 0.3])
-    cases = [
-        (
-            ("husimi", "--in", str(state_path), "--n-theta", "65", "--n-phi", "64"),
-            [(t, p, q[i, k]) for i, t in enumerate(thetas) for k, p in enumerate(phis)],
-        ),
-        (
-            ("scan", "--twice-j-list", "1,2,5", "--omega", "0,0.3"),
-            [
-                (r.twice_j, r.omega, r.fidelity, r.coeff_plus.real, r.coeff_plus.imag, r.coeff_minus.real, r.coeff_minus.imag)
-                for r in scan_rows
-            ],
-        ),
-        (("metrology", "--n-list", "1,3,10"), [dataclasses.astuple(r) for r in scaling_table([noon_state(n) for n in [1, 3, 10]])]),
-    ]
-    out_path = tmp_path / "t.csv"
-    for argv, want in cases:
-        rc, stdout, _ = run(capsys, *argv)
-        assert rc == 0
-        rc, _, _ = run(capsys, *argv, "--out", str(out_path))
-        assert rc == 0
-        # bytes, not read_text(), which would turn "\r\n" into "\n"
-        for text in (stdout, out_path.read_bytes().decode("utf-8")):
-            assert "\r" not in text
-            lines = text.split("\n")
-            assert lines[-1] == ""
-            got = [[float(c) for c in ln.split(",")] for ln in lines[1:-1]]
-            assert got == [[float(v) for v in row] for row in want]
-
-
 def test_csv_bytes_match_one_repr_per_cell(tmp_path, capsys):
     # Equal floats with different bits stay apart: -0.0 is not printed as 0.0.
     rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "2", "--omega=-0.0,0")

@@ -22,10 +22,8 @@ from spincat import (
     BlochDirection,
     CatDecomposition,
     HalfInteger,
-    IrrepMismatch,
     PoleLabel,
     SpinState,
-    SpinorLabel,
     as_label,
     bloch_direction,
     coherent_expansion,
@@ -38,7 +36,7 @@ from spincat import (
     stereographic,
     weight_state,
 )
-from spincat.coherent import _amplitudes, _binomial_weights, _label_columns, _sqrt_binomials
+from spincat.coherent import _amplitudes, _binomial_weights, _label_columns
 from spincat.verify import _rotated_lowest
 
 gammas = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -156,14 +154,6 @@ def test_spinor_label_gamma_and_negation():
     assert (pole.u_abs, pole.v_abs) == (0.0, 1.0) and math.isinf(abs(pole.gamma))
     # -v at the pole is the same ray, (-1)^{2j} |j,+j>
     assert coherent_expansion(HalfInteger(3), pole.negated()).amplitudes[-1] == pytest.approx(-1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        as_label(complex(math.nan, 0.0))
-    with pytest.raises(ValueError):
-        SpinorLabel(0.6, 0.6, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        SpinorLabel(0.0, 1.0, 1.0, 1.0)  # |u| = 0 with a u direction
-    with pytest.raises(ValueError):
-        rotate_label(pole, "z", 1.0)
 
 
 @pytest.mark.parametrize(
@@ -177,15 +167,6 @@ def test_a_gamma_with_a_nan_part_is_refused_not_read_as_the_pole(gamma):
         as_label(gamma)
     with pytest.raises(ValueError, match="has a NaN part"):
         coherent_expansion(HalfInteger(2), gamma)
-
-
-@pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
-def test_rotate_label_refuses_a_non_finite_angle(axis, angle):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="is not finite"):
-            rotate_label(0.3 + 0.4j, axis, angle)
 
 
 def test_rotation_rejects_pole():
@@ -221,21 +202,12 @@ def test_label_round_trip(g):
 
 
 def test_direction_validation():
-    with pytest.raises(ValueError):
-        BlochDirection(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        BlochDirection(math.pi + 0.1, 0.0)
     assert BlochDirection(1.0, 2 * math.pi + 0.5).phi == pytest.approx(0.5)
 
 
 def test_overlap_self_is_one():
     s = coherent_expansion(HalfInteger(7), 0.4 - 1.1j)
     assert overlap(s, s) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_overlap_irrep_mismatch():
-    with pytest.raises(IrrepMismatch):
-        overlap(weight_state(HalfInteger(2), 0), weight_state(HalfInteger(4), 0))
 
 
 def test_overlap_frozen_examples():
@@ -354,6 +326,19 @@ def test_husimi_values_match_overlaps():
             assert q[it, ip] == pytest.approx(abs(overlap(probe, state)) ** 2, abs=1e-13)
 
 
+@pytest.mark.parametrize("tj", [1, 2, 7, 64, 200, 1030, 2000])
+def test_husimi_grid_passes_one_by_at_most_its_stated_rounding(tj):
+    # A coherent state at a grid label meets itself on the grid, where the
+    # overlap's 2j + 1 rounded terms read past 1 by up to ~2 eps (j + 1);
+    # the docstring's bound is twice that.  q itself is never clamped.
+    j = HalfInteger(tj)
+    thetas, phis = np.linspace(0.0, math.pi, 61), np.linspace(0.0, 2 * math.pi, 120, endpoint=False)
+    for theta in thetas[::6]:
+        for phi in phis[::60]:
+            q = husimi_grid(coherent_expansion(j, stereographic(BlochDirection(theta, phi))), 61, 120)[2]
+            assert 0.0 <= q.min() and q.max() <= 1.0 + 4 * np.finfo(float).eps * (j.value + 1), (theta, phi)
+
+
 @pytest.mark.parametrize("half", [0.7, np.array([[0.3], [0.9], [1.4]])], ids=["scalar", "column"])
 def test_binomial_weights_bit_identical_to_comb(half):
     # 1029 is the largest 2j whose binomials all fit in a float.
@@ -364,15 +349,8 @@ def test_binomial_weights_bit_identical_to_comb(half):
         assert np.array_equal(_binomial_weights(tj, np.cos(half), np.sin(half)), want)
 
 
-def test_sqrt_binomials_cache_is_read_only_and_small():
-    for tj in (3, 1030, 2000, 7):
-        for arr in _sqrt_binomials(tj):
-            with pytest.raises(ValueError):
-                arr[...] = 0
-    # Small: nothing past 2j = 64 is kept.
-    assert all(tj <= 64 for tj in _sqrt_binomials.kept)
-    assert _sqrt_binomials(1030) is not _sqrt_binomials(1030)
-    # The weights handed out are fresh arrays: writing one leaves the next call unchanged.
+def test_binomial_weights_are_fresh_arrays():
+    # Writing the weights handed out leaves the next call unchanged.
     cos, sin = np.cos(0.4), np.sin(0.4)
     w = _binomial_weights(7, cos, sin)
     w[:] = 0.0
@@ -413,7 +391,9 @@ def test_label_columns_are_each_labels_fields_bit_for_bit():
 @pytest.mark.parametrize("tj", [1030, 2000, 4000, 10000])
 def test_binomial_weights_past_float_range(tj, thetas):
     # From 2j = 1030 on the largest binomials overflow a float; the poles
-    # put log 0 = -inf into the log form, which must give 0, not NaN.
+    # put log 0 = -inf into the log form, which must give 0, not NaN.  The
+    # norm^2 drifts from 1 by rounding that grows with 2j: ~1.9e-16 * 2j at
+    # worst over 181 thetas, bounded here at about twice that.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         half = np.divide(thetas, 2.0)
@@ -421,6 +401,6 @@ def test_binomial_weights_past_float_range(tj, thetas):
     j = tj / 2
     m = np.arange(tj + 1) - j
     assert np.isfinite(w).all()
-    assert np.abs((w**2).sum(axis=-1) - 1.0).max() <= 1e-11
+    assert np.abs((w**2).sum(axis=-1) - 1.0).max() <= 4e-16 * tj
     jz_mean = (w**2 * m).sum(axis=-1)
     assert np.abs(jz_mean + j * np.cos(np.ravel(thetas))).max() <= 1e-11 * j

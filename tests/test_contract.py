@@ -94,7 +94,7 @@ REFUSED = [
     ("weight_state", "2m below -2j", lambda: weight_state(J4, -6), ValueError, None),
     ("weight_state", "2m above 2j", lambda: weight_state(J4, 6), ValueError, None),
     ("weight_state", "2m of the wrong parity", lambda: weight_state(J4, 1), ValueError, None),
-    ("SpinState", "mismatched j", lambda: SpinState(J3, STATE.amplitudes), ValueError, None),
+    ("SpinState", "mismatched j", lambda: SpinState(J3, STATE.amplitudes), ValueError, "expected shape"),
     ("SpinState", "NaN amplitude", lambda: SpinState(J0, [NAN]), ValueError, None),
     ("SpinOperator", "mismatched j", lambda: SpinOperator(J3, jz(J4).matrix), ValueError, None),
     ("SpinOperator", "inf entry", lambda: SpinOperator(J0, [[INF]]), ValueError, None),
@@ -103,6 +103,9 @@ REFUSED = [
     ("rotate", "NaN angle", lambda: rotate(STATE, "y", NAN), ValueError, "is not finite"),
     ("rotate", "inf angle", lambda: rotate(STATE, "x", INF), ValueError, "is not finite"),
     ("rotate", "-inf angle", lambda: rotate(STATE, "y", -INF), ValueError, "is not finite"),
+    ("rotate", "NaN angle about x", lambda: rotate(STATE, "x", NAN), ValueError, "is not finite"),
+    ("rotate", "inf angle about y", lambda: rotate(STATE, "y", INF), ValueError, "is not finite"),
+    ("rotate", "-inf angle about x", lambda: rotate(STATE, "x", -INF), ValueError, "is not finite"),
     ("rotate", "int angle past the float range", lambda: rotate(STATE, "x", 10**400), ValueError, "is not finite"),
     ("rotate", "angle array", lambda: rotate(STATE, "x", np.array([1.0, 2.0])), ValueError, "must be real"),
     ("rotate", "wrong axis", lambda: rotate(STATE, "z", 0.3), ValueError, "axis must be 'x' or 'y'"),
@@ -112,12 +115,17 @@ REFUSED = [
     ("rotate_label", "bool angle", lambda: rotate_label(1j, "x", True), ValueError, "must be real, got True"),
     ("rotate_label", "NaN angle", lambda: rotate_label(1j, "x", NAN), ValueError, "is not finite"),
     ("rotate_label", "-inf angle", lambda: rotate_label(1j, "y", -INF), ValueError, "is not finite"),
+    ("rotate_label", "inf angle about x", lambda: rotate_label(1j, "x", INF), ValueError, "is not finite"),
+    ("rotate_label", "inf angle about y", lambda: rotate_label(1j, "y", INF), ValueError, "is not finite"),
+    ("rotate_label", "-inf angle about x", lambda: rotate_label(1j, "x", -INF), ValueError, "is not finite"),
+    ("rotate_label", "NaN angle about y", lambda: rotate_label(1j, "y", NAN), ValueError, "is not finite"),
     ("rotate_label", "int angle past the float range", lambda: rotate_label(1j, "x", 10**400), ValueError, "is not finite"),
     ("rotate_label", "angle array", lambda: rotate_label(1j, "x", np.array([1.0, 2.0])), ValueError, "must be real"),
     ("rotate_label", "wrong axis", lambda: rotate_label(1j, "z", 0.3), ValueError, "axis must be 'x' or 'y'"),
     ("BlochDirection", "bool theta", lambda: BlochDirection(True, 0.0), ValueError, None),
     ("BlochDirection", "NaN theta", lambda: BlochDirection(NAN, 0.0), ValueError, None),
     ("BlochDirection", "theta past pi", lambda: BlochDirection(4.0, 0.0), ValueError, None),
+    ("BlochDirection", "negative theta", lambda: BlochDirection(-0.1, 0.0), ValueError, "outside"),
     ("BlochDirection", "bool phi", lambda: BlochDirection(1.0, True), ValueError, None),
     ("BlochDirection", "NaN phi", lambda: BlochDirection(1.0, NAN), ValueError, "phi nan is not finite"),
     ("BlochDirection", "inf phi", lambda: BlochDirection(1.0, INF), ValueError, "phi inf is not finite"),
@@ -125,6 +133,8 @@ REFUSED = [
     ("BlochDirection", "theta array", lambda: BlochDirection(np.array([1.0, 2.0]), 0.0), ValueError, "theta must be real"),
     ("SpinorLabel", "NaN modulus", lambda: SpinorLabel(NAN, 1.0, 1, 1), ValueError, None),
     ("SpinorLabel", "negative modulus", lambda: SpinorLabel(-1.0, 0.0, 1, 0), ValueError, None),
+    ("SpinorLabel", "moduli of no unit spinor", lambda: SpinorLabel(0.6, 0.6, 1.0, 1.0), ValueError, "not the moduli of a unit spinor"),
+    ("SpinorLabel", "a u direction where |u| = 0", lambda: SpinorLabel(0.0, 1.0, 1.0, 1.0), ValueError, "vanish exactly where"),
     ("SpinorLabel", "inf direction", lambda: SpinorLabel(1.0, 0.0, INF, 0), ValueError, None),
     ("SpinorLabel", "bools", lambda: SpinorLabel(True, False, 1, 0), ValueError, "not bools"),
     ("as_label", "NaN gamma", lambda: as_label(complex(NAN, 0.0)), ValueError, None),
@@ -178,10 +188,11 @@ REFUSED = [
     ("TwoModeState", "bool N", lambda: TwoModeState(True, [1, 0]), ValueError, None),
     ("TwoModeState", "float N", lambda: TwoModeState(1.0, [1, 0]), ValueError, None),
     ("TwoModeState", "negative N", lambda: TwoModeState(-1, []), ValueError, None),
-    ("TwoModeState", "mismatched length", lambda: TwoModeState(2, [1, 0]), ValueError, None),
+    ("TwoModeState", "mismatched length", lambda: TwoModeState(2, [1, 0]), ValueError, "expected shape"),
     ("make_noon", "bool N", lambda: make_noon(True), InvalidN, None),
     ("make_noon", "float N", lambda: make_noon(4.0), InvalidN, None),
     ("make_noon", "negative N", lambda: make_noon(-3), InvalidN, None),
+    ("make_noon", "N = 0", lambda: make_noon(0), InvalidN, None),
     ("make_noon", "NaN omega", lambda: make_noon(4, omega=NAN), NonFinitePhase, "omega nan is not finite"),
     ("make_noon", "inf omega", lambda: make_noon(4, omega=INF), NonFinitePhase, "omega inf is not finite"),
     ("make_noon", "wrong choice", lambda: make_noon(4, gamma_choice="q"), ValueError, "gamma_choice must be 'i' or '1'"),
@@ -194,6 +205,9 @@ REFUSED = [
     ("noon_signal", "bool phi array", lambda: noon_signal(noon_state(4, 0.0), [True, False]), ValueError, "must be real"),
     ("noon_signal", "complex phi", lambda: noon_signal(noon_state(4, 0.0), 1j), ValueError, "must be real"),
     ("noon_signal", "NaN phi", lambda: noon_signal(noon_state(4, 0.0), NAN), ValueError, "is not finite"),
+    ("noon_signal", "inf phi", lambda: noon_signal(noon_state(4, 0.0), INF), ValueError, "is not finite"),
+    ("noon_signal", "-inf phi", lambda: noon_signal(noon_state(4, 0.0), -INF), ValueError, "is not finite"),
+    ("noon_signal", "NaN in a phi array", lambda: noon_signal(noon_state(4, 0.0), np.array([0.0, 1.0, NAN])), ValueError, "is not finite"),
     ("noon_signal", "inf in a phi array", lambda: noon_signal(noon_state(4, 0.0), np.array([0.0, INF])), ValueError, "is not finite"),
     ("error_propagation_uncertainty", "bool N", lambda: error_propagation_uncertainty(noon_state(True)), InvalidN, None),
     ("error_propagation_uncertainty", "float N", lambda: error_propagation_uncertainty(noon_state(2.0)), InvalidN, None),
@@ -232,6 +246,12 @@ TAKES_J = {
     "kerr_hamiltonian": kerr_hamiltonian,
     "cat_scan": lambda j: cat_scan([j], [0.0]),
 }
+# omega = +-1e308 is finite, but omega * m * tau/4 overflows at every 2j.
+REFUSED += [
+    ("quarter_period_evolve", f"omega {omega:+g} at 2j = {tj}", lambda tj=tj, omega=omega: quarter_period_evolve(weight_state(HalfInteger(tj), tj), omega), NonFinitePhase, "overflow")
+    for tj in (2, 7, 60)
+    for omega in (1e308, -1e308)
+]
 REFUSED += [
     (name, f"{case} j", lambda call=call, j=j: call(j), TypeError, "j must be a HalfInteger")
     for name, call in TAKES_J.items()

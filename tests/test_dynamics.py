@@ -19,11 +19,8 @@ from _oracles import (
 )
 from spincat import (
     HalfInteger,
-    HalfIntegerUnsupported,
-    NonFinitePhase,
     PoleLabel,
     SpinState,
-    ZeroSpin,
     cat_scan,
     coherent_expansion,
     fidelity,
@@ -38,15 +35,6 @@ from spincat import (
 from spincat import su2
 from spincat.dynamics import CatScanRow, _quarter_period_cats
 from spincat.verify import _rotated_identity_routes, run_suite
-
-
-def test_zero_spin_and_an_unknown_axis_are_refused():
-    with pytest.raises(ZeroSpin):
-        kerr_hamiltonian(HalfInteger(0))
-    with pytest.raises(ZeroSpin):
-        quarter_period_evolve(weight_state(HalfInteger(0), 0))
-    with pytest.raises(ValueError):
-        kerr_hamiltonian(HalfInteger(2), axis="x")
 
 
 def test_kerr_matrix_examples():
@@ -115,31 +103,6 @@ def test_quarter_evolution_matches_dense_oracle(omega):
         assert np.max(np.abs(fast - dense)) <= 1e-12
 
 
-# Every 2j <= 120 (past the 64 kept spectra) and every 37th up to 401.
-ROTATION_GRID = sorted(set(range(121)) | set(range(0, 402, 37)))
-ROTATION_ANGLES = [math.pi / 2, -math.pi / 2, 0.3, math.pi]
-
-
-def _rotate_matches(axis, angle, dense):
-    rng = np.random.default_rng(7)
-    for tj in ROTATION_GRID:
-        j = HalfInteger(tj)
-        v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
-        s = SpinState(j, v / np.linalg.norm(v))
-        want = dense(j).apply(s).amplitudes
-        assert np.max(np.abs(rotate(s, axis, angle).amplitudes - want)) <= 1e-12, tj
-
-
-@pytest.mark.parametrize("angle", ROTATION_ANGLES)
-def test_x_rotation_matches_dense_oracle(angle):
-    _rotate_matches("x", angle, lambda j: x_rotation_dense(j, angle))
-
-
-@pytest.mark.parametrize("angle", ROTATION_ANGLES)
-def test_y_rotation_matches_dense_oracle(angle):
-    _rotate_matches("y", angle, lambda j: expm_hermitian(jy(j), angle))
-
-
 def _random_states(seed):
     rng = np.random.default_rng(seed)
     for tj in range(1, 62):
@@ -164,15 +127,6 @@ def test_lambda_only_rescales_omega(omega, lam):
         assert np.max(np.abs(quarter_period_evolve(s, omega / lam).amplitudes - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("tj", [2, 7, 60])
-def test_overflowing_twist_phase_is_refused(tj):
-    s = weight_state(HalfInteger(tj), tj)
-    with pytest.raises(NonFinitePhase):
-        quarter_period_evolve(s, 1e308)
-    with pytest.raises(NonFinitePhase):
-        quarter_period_evolve(s, -1e308)
-
-
 def test_quarter_evolution_spin_half_is_global_phase():
     j = HalfInteger(1)
     s = coherent_expansion(j, 0.37 + 0.1j)
@@ -194,8 +148,6 @@ def test_predicted_cat_coefficients():
     assert label_plus.gamma == 1j and label_minus.gamma == -1j
     (_, coeff_minus) = predicted_cat(HalfInteger(4), 1j).components[1]  # j = 2, even
     assert coeff_minus == pytest.approx(np.exp(1j * math.pi / 4) / math.sqrt(2))
-    with pytest.raises(HalfIntegerUnsupported):
-        predicted_cat(HalfInteger(3), 1j)
 
 
 @pytest.mark.parametrize(
@@ -208,9 +160,6 @@ def test_cat_identity_fidelity(tj, g, tol):
 
 
 def test_cat_identity_gate():
-    evolved = quarter_period_evolve(coherent_expansion(HalfInteger(3), 1j))
-    with pytest.raises(HalfIntegerUnsupported):
-        fidelity(evolved, predicted_cat(evolved.j, 1j).materialize())
     # The identity holds wherever the linear phase clears: j=3, omega=2/3
     # gives omega * tau/4 = 2 pi exactly
     evolved = quarter_period_evolve(coherent_expansion(HalfInteger(6), 1j), 2.0 / 3.0)
@@ -347,8 +296,6 @@ def test_rotated_cat_prediction_matches_hand_set_amplitudes():
         hand[-1] = np.exp(-1j * math.pi / 4) / math.sqrt(2)
         hand[0] = np.exp(1j * math.pi / 4) / math.sqrt(2)
         assert np.max(np.abs(rotated_cat_prediction(j).amplitudes - hand)) <= 1e-13
-    with pytest.raises(HalfIntegerUnsupported):
-        rotated_cat_prediction(HalfInteger(3))
 
 
 def test_rotated_cat_labels_land_on_the_poles_exactly():
@@ -412,8 +359,6 @@ def test_verify_suite_makes_no_dense_exponential(monkeypatch):
 
 
 def test_rotated_identity_gates():
-    with pytest.raises(HalfIntegerUnsupported):
-        rotated_cat_prediction(HalfInteger(3))
     j = HalfInteger(6)
     direct, _ = _rotated_identity_routes(j, 2.0 / 3.0)
     assert fidelity(rotated_cat_prediction(j), direct) >= 1 - 1e-10

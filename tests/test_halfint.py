@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from spincat import HalfInteger, m_values
 
@@ -12,13 +11,6 @@ def test_basic_properties():
     assert j.casimir_eigenvalue() == 1.5 * 2.5
     assert str(j) == "3/2"
     assert str(HalfInteger(4)) == "2"
-
-
-def test_negative_rejected():
-    with pytest.raises(ValueError):
-        HalfInteger(-1)
-    with pytest.raises(TypeError):
-        HalfInteger(1.5)
 
 
 def test_m_values_ascending():

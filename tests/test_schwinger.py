@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from spincat import (
     HalfInteger,
-    InvalidN,
     TwoModeState,
     coherent_expansion,
     fock_to_spin,
@@ -15,7 +14,6 @@ from spincat import (
     noon_fidelity,
     noon_state,
     off_support_mass,
-    scaling_table,
     spin_to_fock,
     verify_schwinger_realization,
     weight_state,
@@ -93,29 +91,15 @@ def test_make_noon_relative_phase_frozen():
         assert np.angle(ratio) == pytest.approx(math.pi / 2, abs=1e-8)
 
 
-@pytest.mark.parametrize("n", [2, 8, 20, 34, 1000])
-def test_make_noon_even_fidelity_and_support(n):
-    out = make_noon(n)
-    fid, _ = noon_fidelity(out)
-    assert fid >= 1 - 1e-10
-    assert off_support_mass(out) <= 1e-20
-
-
-@pytest.mark.parametrize("n", [2, 8, 20, 1000])
-def test_make_noon_gamma_one_variant(n):
-    out = make_noon(n, gamma_choice="1")
-    fid, _ = noon_fidelity(out)
-    assert fid >= 1 - 1e-10
-    assert off_support_mass(out) <= 1e-20
-
-
 @pytest.mark.parametrize("choice", ["i", "1"])
 def test_noon_deficit_is_linear_in_n(choice):
     # the accuracy contract as a function of N; the worst measured
     # deficit / N on this grid is about 4e-17
     for n in [*range(2, 201, 2), 400, 998, 1000]:
-        fid, _ = noon_fidelity(make_noon(n, gamma_choice=choice))
+        out = make_noon(n, gamma_choice=choice)
+        fid, _ = noon_fidelity(out)
         assert 1.0 - fid <= 1e-15 * n, n
+        assert off_support_mass(out) <= 1e-20, n
 
 
 def test_make_noon_odd_is_exploratory():
@@ -126,39 +110,12 @@ def test_make_noon_odd_is_exploratory():
         assert fid == pytest.approx(2.0 ** (-n / 2), abs=1e-9)
 
 
-def test_make_noon_validation():
-    with pytest.raises(InvalidN):
-        make_noon(0)
-    with pytest.raises(InvalidN):
-        make_noon(-3)
-    with pytest.raises(ValueError):
-        make_noon(2, gamma_choice="q")
-
-
-@pytest.mark.parametrize(
-    "build, error",
-    [
-        (lambda: TwoModeState(True, [1, 0]), ValueError),
-        (lambda: noon_state(True), InvalidN),
-        (lambda: make_noon(True), InvalidN),
-        (lambda: scaling_table([noon_state(True)]), InvalidN),
-        (lambda: scaling_table([noon_state(2.7)]), InvalidN),
-    ],
-    ids=["TwoModeState", "noon_state", "make_noon", "scaling_table-bool", "scaling_table-float"],
-)
-def test_bool_size_is_refused(build, error):
-    with pytest.raises(error):
-        build()
-
-
 def test_noon_state_materializes_the_invariant():
     s = noon_state(5, 0.3)
     assert abs(s.amplitudes[5]) == pytest.approx(1 / math.sqrt(2))
     assert abs(s.amplitudes[0]) == pytest.approx(1 / math.sqrt(2))
     assert off_support_mass(s) == 0.0
     assert s.amplitudes[5] == pytest.approx(np.exp(-0.3j) / math.sqrt(2))
-    with pytest.raises(InvalidN):
-        noon_state(0)
 
 
 def test_noon_fidelity_examples():

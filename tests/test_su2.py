@@ -4,7 +4,6 @@ import pickle
 import subprocess
 import sys
 import threading
-import warnings
 import weakref
 from pathlib import Path
 
@@ -119,14 +118,11 @@ def test_generators_bit_identical_to_chained_builds():
             assert got.matrix.tobytes() == want.matrix.tobytes(), (name, tj)
 
 
-def test_generators_and_kept_tables_are_read_only():
+def test_generators_are_read_only():
     j = HalfInteger(6)
     for op in (jplus, jminus, jx, jy, jz):
         with pytest.raises(ValueError):
             op(j).matrix[0, 0] = 1.0
-    for arr in _jx_eigensystem(6):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
     assert jx(j).matrix.tobytes() == chained_generators(j)["jx"].matrix.tobytes()
 
 
@@ -145,7 +141,7 @@ TABLES = [_jx_eigensystem, _sqrt_binomials, _weights]
 @pytest.mark.parametrize("table", TABLES, ids=lambda t: t.__name__)
 def test_per_twice_j_tables_keep_up_to_2j_64(table):
     # One rule for every table: kept up to 2j = 64, built afresh past it.
-    for tj in (0, 1, 6, 63, 64, 65, 66, 200, 1030):
+    for tj in (0, 1, 3, 6, 7, 63, 64, 65, 66, 200, 1030, 2000):
         first, again = table(tj), table(tj)
         if tj <= 64:
             assert again is first and table.kept[tj] is first, tj
@@ -238,17 +234,6 @@ def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
             cold.append(call().tobytes())
         assert [call().tobytes() for call in calls] == cold, tj
     assert sorted(_jx_eigensystem.kept) == list(range(65))
-
-
-def test_jx_memo_is_read_only():
-    for tj in (0, 6, 64, 65, 200):
-        (v,) = _jx_eigensystem(tj)
-        with pytest.raises(ValueError):
-            v[0] = 1.0
-    # What was kept is unchanged by the attempts above.
-    j = HalfInteger(6)
-    for got, want in zip(_jx_eigensystem(6), _fresh_jx_eigensystem(j)):
-        assert got.tobytes() == want.tobytes()
 
 
 def test_large_noon_runs_keep_no_jx_eigensystem():
@@ -371,13 +356,6 @@ def test_state_rejects_huge_finite_entry_by_its_norm(build):
                 build(np.array(amps, dtype=complex))
 
 
-def test_state_rejects_wrong_length():
-    with pytest.raises(ValueError, match="expected shape"):
-        SpinState(HalfInteger(2), [1.0, 0.0])
-    with pytest.raises(ValueError, match="expected shape"):
-        TwoModeState(2, [1.0, 0.0, 0.0, 0.0])
-
-
 @pytest.mark.parametrize("d", [1, 2, 61, 401, 1001])
 def test_state_norm_is_numpy_norm(d):
     # The validator's norm is `==` to np.linalg.norm: it appears in the gate's
@@ -406,27 +384,24 @@ def test_apply_checks_irrep():
         identity(HalfInteger(2)).apply(weight_state(HalfInteger(4), 0))
 
 
-def test_weight_state_validation():
-    with pytest.raises(ValueError):
-        weight_state(HalfInteger(2), 3)
-    with pytest.raises(ValueError):
-        weight_state(HalfInteger(3), 0)
+# (2j, angle): every 2j <= 120 (past the 64 kept spectra) and every 37th up
+# to 401 at four angles, and three more angles below 2j = 62.
+ROTATION_CASES = [
+    *((tj, angle) for tj in sorted({*range(121), *range(0, 402, 37)}) for angle in (math.pi / 2, -math.pi / 2, 0.3, math.pi)),
+    *((tj, angle) for tj in range(62) for angle in (0.37, -1.3, 5.0)),
+]
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
 def test_rotate_matches_dense_oracle(axis):
     rng = np.random.default_rng(4)
     gen = jx if axis == "x" else jy
-    worst = 0.0
-    for tj in range(62):
+    for tj, angle in ROTATION_CASES:
         j = HalfInteger(tj)
-        for angle in (math.pi / 2, 0.37, -1.3, 5.0):
-            v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
-            s = SpinState(j, v / np.linalg.norm(v))
-            fast = rotate(s, axis, angle).amplitudes
-            dense = expm_hermitian(gen(j), angle).apply(s).amplitudes
-            worst = max(worst, float(np.max(np.abs(fast - dense))))
-    assert worst <= 1e-12
+        v = rng.normal(size=j.dim) + 1j * rng.normal(size=j.dim)
+        s = SpinState(j, v / np.linalg.norm(v))
+        want = expm_hermitian(gen(j), angle).apply(s).amplitudes
+        assert np.max(np.abs(rotate(s, axis, angle).amplitudes - want)) <= 1e-12, (tj, angle)
 
 
 @pytest.mark.parametrize("axis", ["x", "y"])
@@ -443,21 +418,6 @@ def test_a_column_of_functions_is_one_rotation_per_column(axis):
         assert columns.shape == (j.dim, angles.size)
         for column, angle in zip(columns.T, angles):
             assert np.max(np.abs(column - rotate(s, axis, angle).amplitudes)) <= 1e-14
-
-
-def test_rotate_rejects_other_axes():
-    with pytest.raises(ValueError):
-        rotate(weight_state(HalfInteger(2), 0), "z", 1.0)
-
-
-@pytest.mark.parametrize("axis", ["x", "y"])
-@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
-def test_rotate_refuses_a_non_finite_angle(axis, angle):
-    # Refused up front: no RuntimeWarning from the phases comes first.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="is not finite"):
-            rotate(weight_state(HalfInteger(4), 2), axis, angle)
 
 
 def test_import_loads_no_scipy():
