@@ -20,10 +20,6 @@ SPIN_SCHEMA = "spin-state/1"
 TWO_MODE_SCHEMA = "two-mode-state/1"
 
 
-def _amplitude_pairs(amps: np.ndarray) -> list[list[float]]:
-    return [[float(a.real), float(a.imag)] for a in amps]
-
-
 def save_state(state, path, metadata: dict | None = None):
     """Write a SpinState or TwoModeState as schema-versioned JSON."""
     if isinstance(state, SpinState):
@@ -32,7 +28,7 @@ def save_state(state, path, metadata: dict | None = None):
         doc = {"schema_version": TWO_MODE_SCHEMA, "n_total": state.n_total}
     else:
         raise TypeError(f"cannot serialize {type(state).__name__}")
-    doc["amplitudes"] = _amplitude_pairs(state.amplitudes)
+    doc["amplitudes"] = state.amplitudes.view(np.float64).reshape(-1, 2).tolist()
     doc["metadata"] = {str(k): str(v) for k, v in (metadata or {}).items()}
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 

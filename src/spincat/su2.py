@@ -196,9 +196,11 @@ def _weights(twice_j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @_per_twice_j
 def _jx_eigensystem(twice_j: int) -> tuple[np.ndarray]:
-    """(V,): eigh's real orthonormal eigenvectors of the tridiagonal Jx, for ascending eigenvalues m."""
-    off = _ladder(HalfInteger(twice_j)) / 2.0
-    return (np.linalg.eigh(np.diag(off, k=-1) + np.diag(off, k=1))[1],)
+    """(V,): eigh's real orthonormal eigenvectors of the tridiagonal Jx, for ascending eigenvalues m.
+
+    eigh reads only the lower triangle, so Jx's band below the diagonal is all it is given.
+    """
+    return (np.linalg.eigh(np.diag(_ladder(HalfInteger(twice_j)) / 2.0, k=-1))[1],)
 
 
 def _ladder_matrix(j: HalfInteger) -> np.ndarray:

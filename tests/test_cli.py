@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +203,9 @@ def test_husimi_input_errors(tmp_path, capsys):
     bad.write_text("{}")
     rc, _, _ = run(capsys, "husimi", "--in", str(bad))
     assert rc == 3
+    bad.write_text("[]")
+    rc, out, err = run(capsys, "husimi", "--in", str(bad))
+    assert (rc, out, err) == (3, "", "state file error: top-level JSON value must be an object\n")
     # A bad size is named by the package's one size rule.
     bad.write_text('{"schema_version": "spin-state/1", "twice_j": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
     rc, out, err = run(capsys, "husimi", "--in", str(bad))
@@ -278,6 +282,16 @@ def test_verify_small_run_passes(capsys):
     lines = err.splitlines()
     assert len(lines) == info["checks"]
     assert all(re.fullmatch(r"\[PASS\] [\w-]+: .+  worst \S+ \([<>]= \S+\)", ln) for ln in lines)
+
+
+def test_verify_colours_its_status_on_a_terminal_unless_no_color(capsys, monkeypatch):
+    monkeypatch.setattr(sys.stderr, "isatty", lambda: True)
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    for status in ("\x1b[32m[PASS]\x1b[0m", "[PASS]"):
+        rc, _, err = run(capsys, "verify", "--max-twice-j", "2")
+        assert rc == 0 and err
+        assert all(line.startswith(f"{status} ") for line in err.splitlines()), err
+        monkeypatch.setenv("NO_COLOR", "1")
 
 
 # What `spincat verify --max-twice-j 60` reports, in order: a check that is

@@ -16,7 +16,6 @@ from _oracles import (
     jy,
     jy_extremal_states,
     jz,
-    rotation_operator_dense,
 )
 from spincat import (
     BlochDirection,
@@ -69,42 +68,6 @@ def test_expansion_matches_direct_power_series(tj, g):
 def test_rotation_identity_at_zero():
     # theta = 0 leaves |j,-j> exactly where it is.
     assert np.array_equal(_rotated_lowest(HalfInteger(4), [0.0]), np.eye(5)[:, :1])
-
-
-@given(small_twice_j, gammas)
-@settings(max_examples=60, deadline=None)
-def test_rotation_builds_the_expansion(tj, g):
-    j = HalfInteger(tj)
-    built = SpinState(j, _rotated_lowest(j, [g])[:, 0])
-    want = coherent_expansion(j, g)
-    # componentwise, not only up to phase
-    assert np.allclose(built.amplitudes, want.amplitudes, atol=1e-12)
-    assert fidelity(built, want) > 1 - 1e-12
-
-
-@given(small_twice_j, gammas)
-@settings(max_examples=40, deadline=None)
-def test_rotation_unitary(tj, g):
-    # A unitary's column is a unit vector.
-    assert abs(np.linalg.norm(_rotated_lowest(HalfInteger(tj), [g])[:, 0]) - 1.0) < 1e-12
-
-
-def test_rotation_operator_matches_dense_oracle():
-    # Column 0 of the dense rotation, every label of a 2j in one batch.
-    rng = np.random.default_rng(11)
-    special = [1e-8, 1e-8j, -1e3, 1e3 * np.exp(2.1j), 0.7, -1.9, 0.4j, -2.5j]
-    worst_diff = worst_column = 0.0
-    for tj in range(62):
-        j = HalfInteger(tj)
-        randoms = rng.uniform(0.05, 3.0, 4) * np.exp(1j * rng.uniform(-math.pi, math.pi, 4))
-        labels = [*special, *randoms]
-        for column, g in zip(_rotated_lowest(j, labels).T, labels):
-            worst_diff = max(worst_diff, float(np.max(np.abs(column - rotation_operator_dense(j, g).matrix[:, 0]))))
-            # The lowest-weight column is |j,gamma>, entry by entry.
-            want = coherent_expansion(j, g).amplitudes
-            worst_column = max(worst_column, float(np.max(np.abs(column - want))))
-    assert worst_diff <= 1e-13
-    assert worst_column <= 1e-13
 
 
 @pytest.mark.parametrize("tj", [0, 1, 2, 21, 60, 200, 1029, 1030, 1100])

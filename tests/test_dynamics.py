@@ -150,10 +150,7 @@ def test_predicted_cat_coefficients():
     assert coeff_minus == pytest.approx(np.exp(1j * math.pi / 4) / math.sqrt(2))
 
 
-@pytest.mark.parametrize(
-    "tj,g,tol",
-    [(2, 1j, 1e-12), (14, 1j, 1e-10), (24, 0.3 + 0.4j, 1e-10), (8, 1.0, 1e-10)],
-)
+@pytest.mark.parametrize("tj,g,tol", [(2, 1j, 1e-12), (24, 0.3 + 0.4j, 1e-10)])
 def test_cat_identity_fidelity(tj, g, tol):
     evolved = quarter_period_evolve(coherent_expansion(HalfInteger(tj), g))
     assert fidelity(evolved, predicted_cat(evolved.j, g).materialize()) >= 1 - tol
@@ -164,15 +161,6 @@ def test_cat_identity_gate():
     # gives omega * tau/4 = 2 pi exactly
     evolved = quarter_period_evolve(coherent_expansion(HalfInteger(6), 1j), 2.0 / 3.0)
     assert fidelity(evolved, predicted_cat(evolved.j, 1j).materialize()) >= 1 - 1e-10
-
-
-def test_cat_relative_phase():
-    for jj in (1, 2, 3, 5, 9):
-        j = HalfInteger(2 * jj)
-        evolved = quarter_period_evolve(coherent_expansion(j, 1j))
-        _, c_plus, c_minus = fit_two_component(evolved, 1j)
-        want = math.pi / 2 + jj * math.pi
-        assert abs(math.remainder(np.angle(c_minus / c_plus) - want, 2 * math.pi)) < 1e-8
 
 
 @pytest.mark.parametrize("twice_j", [1, 2, 24, 64, 65, 1029, 1030, 2000])
@@ -316,16 +304,6 @@ def test_quarter_twist_of_the_pole_is_its_predicted_cat():
         twisted = quarter_period_evolve(weight_state(j, 2 * jj)).amplitudes
         predicted = predicted_cat(j, math.inf).materialize().amplitudes
         assert np.max(np.abs(twisted - predicted)) <= 1e-13
-
-
-@pytest.mark.parametrize("jj", [1, 2, 3, 7, 15])
-def test_rotated_identity_both_routes(jj):
-    j = HalfInteger(2 * jj)
-    direct, conjugated = _rotated_identity_routes(j, 0.0)
-    target = rotated_cat_prediction(j)
-    assert fidelity(target, direct) >= 1 - 1e-10
-    assert fidelity(target, conjugated) >= 1 - 1e-10
-    assert fidelity(direct, conjugated) >= 1 - 1e-10
 
 
 def test_rotated_identity_relative_phase_is_j_independent():
