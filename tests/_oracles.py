@@ -14,13 +14,19 @@ This module is also the tests' one door to the dense reference, the
 imports them from here.  They are still defined in `spincat.su2`,
 `spincat.dynamics` and `spincat.errors`, where the benchmark reads them,
 so moving them into this file edits no other test.
+
+The two shared grids at the end are inputs, not oracles: `rotation_grid`
+gives the rotation tests one set of labels, and `noon_sweep` builds
+`make_noon` once per N for the three tests that read the N00N grid.
 """
+import functools
 import math
 import sys
 
 import numpy as np
 
 from spincat import HalfInteger, IrrepMismatch, SpinState, TwoModeState, as_label, coherent_expansion, m_values
+from spincat import make_noon, noon_fidelity
 from spincat.coherent import _binomial_weights
 from spincat.dynamics import kerr_hamiltonian
 from spincat.errors import NonHermitianInput
@@ -280,3 +286,31 @@ def schwinger_residual_dense(j: HalfInteger, ops=None) -> float:
             np.linalg.norm(j0 - j.value * eye),
         )
     )
+
+
+ROTATION_TWICE_J = (*range(62), 64, 65, 66, 129)
+NOON_GRID = (*range(2, 201, 2), 400, 998, 1000)
+
+
+def rotation_grid():
+    """(j, labels) for every 2j of ROTATION_TWICE_J: every 2j <= 61 and the
+    kept/fresh boundary of Jx's eigensystem at 2j = 64.  The labels hold 0,
+    tiny, huge and axis labels, one with |gamma| <= 3 in each quadrant and 11
+    random ones with 0.05 <= |gamma| <= 3; the same labels on every call."""
+    rng = np.random.default_rng(11)
+    special = [0.0, 1e-8, 1e-8j, -1e3, 1e3 * np.exp(2.1j), 0.7, -1.9, 0.4j, -2.5j]
+    quadrants = [1.2 + 1.5j, -2 + 0.9j, -1.1 - 2.4j, 2.1 - 1.3j]
+    for tj in ROTATION_TWICE_J:
+        randoms = rng.uniform(0.05, 3.0, 11) * np.exp(1j * rng.uniform(-math.pi, math.pi, 11))
+        yield HalfInteger(tj), [*special, *quadrants, *randoms]
+
+
+@functools.cache
+def noon_sweep(gamma_choice: str) -> tuple:
+    """(N, make_noon(N), fidelity, best phase) for every N of NOON_GRID, built
+    once per process however many tests read it."""
+    rows = []
+    for n in NOON_GRID:
+        state = make_noon(n, gamma_choice=gamma_choice)
+        rows.append((n, state, *noon_fidelity(state)))
+    return tuple(rows)

