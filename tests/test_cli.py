@@ -39,15 +39,6 @@ def test_parse_complex_forms():
         parse_complex("zz")
 
 
-def test_an_overflowed_gamma_is_refused_not_read_as_the_pole(tmp_path, capsys):
-    # complex("1e400") is infinite, but only an infinity spelled out names the pole.
-    out = tmp_path / "c.json"
-    rc, stdout, err = run(capsys, "coherent", "--twice-j", "2", "--gamma=1e400", "--out", str(out))
-    assert (rc, stdout) == (2, "")
-    assert "argument --gamma: '1e400' is past the float range, so it is not finite" in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("gamma", ["inf", "+inf", "infinity", "-inf", "infj"])
 def test_a_spelled_out_infinity_is_the_pole(tmp_path, capsys, gamma):
     out = tmp_path / "c.json"
@@ -90,40 +81,6 @@ def test_coherent_theta_zero_hits_lowest_weight(tmp_path, capsys):
     assert state.amplitudes[0] == 1.0
 
 
-def test_coherent_argument_conflicts(tmp_path, capsys):
-    out = tmp_path / "c.json"
-    rc, _, _ = run(capsys, "coherent", "--twice-j", "2", "--theta", "1", "--gamma", "1", "--out", str(out))
-    assert rc == 2
-    rc, _, _ = run(capsys, "coherent", "--twice-j", "2", "--out", str(out))
-    assert rc == 2
-    # missing --out is a usage error too
-    rc, _, _ = run(capsys, "coherent", "--twice-j", "2", "--gamma", "1")
-    assert rc == 2
-
-
-WRITERS = {
-    # save_state
-    "coherent": ("coherent", "--twice-j", "2", "--gamma", "1"),
-    "cat": ("cat", "--twice-j", "4", "--gamma", "0+1i"),
-    "noon": ("noon", "--n", "4"),
-    # _write_csv
-    "husimi": ("husimi", "--in", "{dir}/c.json", "--n-theta", "3", "--n-phi", "2"),
-    "scan": ("scan", "--twice-j-list", "2"),
-    "metrology": ("metrology", "--n-list", "1,2"),
-}
-
-
-@pytest.mark.parametrize("writer", sorted(WRITERS))
-def test_write_failure_is_io_error(tmp_path, capsys, writer):
-    # Every writer lets the OSError reach main, which alone maps it to exit 3.
-    save_state(coherent_expansion(HalfInteger(4), 1j), tmp_path / "c.json")
-    argv = [a.format(dir=tmp_path) for a in WRITERS[writer]]
-    rc, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "o.dat"))
-    assert (rc, out) == (3, "")
-    assert err.startswith("I/O error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_cat_reports_two_component_fit(tmp_path, capsys):
     out = tmp_path / "cat.json"
     rc, stdout, _ = run(capsys, "cat", "--twice-j", "8", "--gamma", "0+1i", "--out", str(out))
@@ -151,8 +108,6 @@ def test_noon_odd_reports_but_exits_zero(tmp_path, capsys):
 
 
 def test_noon_usage_and_self_check_exit_codes(tmp_path, capsys):
-    rc, _, _ = run(capsys, "noon", "--n", "0", "--out", str(tmp_path / "n.json"))
-    assert rc == 2
     # an omega that breaks the quarter-period phase gate ruins the even-N
     # cat, which the self-check converts to exit 1
     rc, stdout, _ = run(
@@ -196,46 +151,6 @@ def test_husimi_cat_shows_two_equatorial_peaks(tmp_path, capsys):
     assert {round(p[1], 2) for p in peaks} == {round(math.pi / 2, 2), round(3 * math.pi / 2, 2)}
 
 
-def test_husimi_input_errors(tmp_path, capsys):
-    rc, _, _ = run(capsys, "husimi", "--in", str(tmp_path / "absent.json"))
-    assert rc == 3
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    rc, _, _ = run(capsys, "husimi", "--in", str(bad))
-    assert rc == 3
-    bad.write_text("[]")
-    rc, out, err = run(capsys, "husimi", "--in", str(bad))
-    assert (rc, out, err) == (3, "", "state file error: top-level JSON value must be an object\n")
-    # A bad size is named by the package's one size rule.
-    bad.write_text('{"schema_version": "spin-state/1", "twice_j": true, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}')
-    rc, out, err = run(capsys, "husimi", "--in", str(bad))
-    assert (rc, out, err) == (3, "", "state file error: twice_j must be an integer >= 0, got True\n")
-
-
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1e200"])
-def test_husimi_refuses_bad_amplitudes_in_state_file(tmp_path, capsys, bad):
-    path = tmp_path / "s.json"
-    path.write_text(f'{{"schema_version": "spin-state/1", "twice_j": 1, "amplitudes": [[1.0, 0.0], [0.0, {bad}]]}}')
-    rc, out, err = run(capsys, "husimi", "--in", str(path), "--out", str(tmp_path / "h.csv"))
-    assert rc == 3
-    assert err.count("\n") == 1 and "Warning" not in err
-    assert ("state norm inf" if bad == "1e200" else "non-finite entries") in err
-
-
-@pytest.mark.parametrize(
-    "entry",
-    ['"10"', "[true, false]", '["1", "0"]', "[1" + "0" * 400 + ", 0]"],
-    ids=["string", "bools", "strings", "int-past-float"],
-)
-def test_husimi_refuses_amplitude_entries_that_are_not_two_numbers(tmp_path, capsys, entry):
-    path = tmp_path / "s.json"
-    path.write_text(f'{{"schema_version": "spin-state/1", "twice_j": 1, "amplitudes": [{entry}, [0.0, 0.0]]}}')
-    rc, out, err = run(capsys, "husimi", "--in", str(path), "--out", str(tmp_path / "h.csv"))
-    assert rc == 3
-    assert err.count("\n") == 1 and "malformed amplitude entry" in err
-    assert not (tmp_path / "h.csv").exists()
-
-
 def test_scan_csv(tmp_path, capsys):
     rc, stdout, _ = run(capsys, "scan", "--twice-j-list", "1,2,3,4", "--omega", "0")
     assert rc == 0
@@ -269,8 +184,6 @@ def test_metrology_csv(capsys):
         n, dphi, sql, qfi = ln.split(",")
         assert float(dphi) == pytest.approx(1.0 / int(n), abs=1e-9)
         assert float(sql) == pytest.approx(1.0 / math.sqrt(int(n)), abs=1e-12)
-    rc, _, _ = run(capsys, "metrology", "--n-list", "0,2")
-    assert rc == 2
 
 
 def test_verify_small_run_passes(capsys):
@@ -409,53 +322,6 @@ def test_parser_is_reused_across_calls(capsys, monkeypatch):
     assert [ln.split(",")[1] for ln in stdout.splitlines()[1:]] == ["0.0"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("coherent", "--twice-j", "-1", "--gamma", "1", "--out", "{dir}/o.json"),
-        ("coherent", "--twice-j", "2", "--gamma", "nan", "--out", "{dir}/o.json"),
-        ("noon", "--n", "4", "--omega", "nan", "--out", "{dir}/o.json"),
-        ("cat", "--twice-j", "4", "--gamma", "0+1i", "--omega", "inf", "--out", "{dir}/o.json"),
-        ("scan", "--twice-j-list", "2", "--omega", "nan"),
-        ("scan", "--twice-j-list", "2", "--gamma", "inf"),
-        ("husimi", "--in", "{dir}/s.json", "--n-theta", "1"),
-        ("husimi", "--in", "{dir}/s.json", "--n-phi", "0"),
-        ("verify", "--max-twice-j", "-5"),
-        ("scan", "--twice-j-list", "2,-1"),
-        ("cat", "--twice-j", "2", "--gamma", "1", "--omega", "1e308", "--out", "{dir}/o.json"),
-        ("noon", "--n", "4", "--omega", "1e308", "--out", "{dir}/o.json"),
-        ("scan", "--twice-j-list", "2", "--omega", "1e308"),
-        ("cat", "--twice-j", "4", "--gamma=0", "--out", "{dir}/o.json"),
-        ("cat", "--twice-j", "4", "--gamma", "inf", "--out", "{dir}/o.json"),
-        ("scan", "--twice-j-list", "2", "--gamma=0"),
-    ],
-)
-def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
-    # run() calls main directly, so an escaping exception fails the test
-    rc, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert rc == 2
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("cat", "--twice-j", "4", "--gamma=1e-16"),
-        ("cat", "--twice-j", "40", "--theta", "1e-17"),
-        ("scan", "--twice-j-list", "4,40", "--gamma=1e-16"),
-    ],
-)
-def test_a_label_within_rounding_of_a_pole_is_refused_like_a_pole(tmp_path, capsys, argv):
-    # Its two components coincide to rounding, so no fit is reported.
-    path = tmp_path / "out"
-    rc, out, err = run(capsys, *argv, "--out", str(path))
-    assert (rc, out, err) == (2, "", "error: need a label off the poles so the two components differ\n")
-    assert not path.exists()
-    if argv[0] == "scan":
-        # Without --out no CSV line is streamed either.
-        assert run(capsys, *argv) == (2, "", "error: need a label off the poles so the two components differ\n")
-
-
 @pytest.mark.parametrize("gamma", ["0", "inf"])
 def test_cat_label_on_a_pole_is_one_library_error(tmp_path, capsys, monkeypatch, gamma):
     # dynamics refuses the label, before it is expanded (~0.1 s at 2j = 20000);
@@ -498,53 +364,6 @@ def test_a_cat_call_builds_its_two_components_once(tmp_path, capsys, monkeypatch
     assert calls == [tj for tj in range(2, 61, 2) for _ in range(3)]
 
 
-@pytest.mark.parametrize("command", ["coherent", "cat"])
-@pytest.mark.parametrize(
-    "label, message",
-    [
-        (("--theta", "nan"), "theta=nan outside [0, pi]"),
-        (("--theta", "4"), "theta=4.0 outside [0, pi]"),
-        (("--theta", "1", "--phi", "inf"), "phi inf is not finite"),
-        (("--theta", "1", "--gamma", "0+1i"), "give exactly one of --theta [--phi] or --gamma"),
-        ((), "give exactly one of --theta [--phi] or --gamma"),
-    ],
-    ids=["theta-nan", "theta-4", "phi-inf", "both", "neither"],
-)
-def test_a_label_error_names_its_subcommand(tmp_path, capsys, command, label, message):
-    # Like argparse's own errors in a subcommand: its usage, then "spincat <cmd>: error:".
-    rc, out, err = run(capsys, command, "--twice-j", "4", *label, "--out", str(tmp_path / "o.json"))
-    lines = err.splitlines()
-    assert (rc, out) == (2, "")
-    assert lines[0].startswith(f"usage: spincat {command} ")
-    assert lines[-1] == f"spincat {command}: error: {message}"
-    assert not (tmp_path / "o.json").exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("metrology", "--n-list", "1000000000000000000"),
-        ("metrology", "--n-list", "100000000000000000000000"),
-        ("husimi", "--in", "{dir}/c.json", "--n-theta", "100000000000000000000", "--n-phi", "1"),
-        ("noon", "--n", "100000000000000000000000", "--out", "{dir}/n.json"),
-    ],
-)
-def test_sizes_numpy_cannot_describe_are_usage_errors(tmp_path, capsys, argv):
-    # Past the longest complex array numpy can describe, numpy raises
-    # ValueError rather than MemoryError, and exact binomials never finish;
-    # the size is refused before anything runs.
-    save_state(coherent_expansion(HalfInteger(4), 1j), tmp_path / "c.json")
-    rc, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert (rc, out) == (2, "")
-    assert "Traceback" not in err
-    assert f"must be < {cli._MAX_LENGTH}" in err
-
-
-def test_usage_error_on_unknown_command(capsys):
-    rc, _, _ = run(capsys, "frobnicate")
-    assert rc == 2
-
-
 def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     # A size whose arrays cannot be allocated exits 2 with one error line;
     # the handler raises instead of allocating.
@@ -556,22 +375,6 @@ def test_memory_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("coherent", "--twice-j", "100000000000000000", "--gamma", "1", "--out", "{dir}/c.json"),
-        ("noon", "--n", "100000000000000000", "--out", "{dir}/n.json"),
-    ],
-)
-def test_a_size_past_memory_exits_2_before_the_exact_binomials(tmp_path, capsys, argv):
-    # 2j + 1 floats past any address space, though numpy can describe the
-    # array: the binomial table is allocated before its exact loop, so
-    # numpy's MemoryError comes at once, not after 10^17 big-int steps.
-    rc, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
-    assert (rc, out, err) == (2, "", "error: out of memory for this size\n")
-    assert not list(tmp_path.iterdir())
 
 
 SIZES = ("0", "1", "7", "20", "2000", "-1", "x")
@@ -638,7 +441,14 @@ def test_cli_exit_codes_under_fuzzed_arguments(fuzz_dir, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main([a.format(dir=fuzz_dir) for a in argv])
-    assert rc in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if rc == 1:
-        assert "self-check failed" in err.getvalue()
+    out, err = out.getvalue(), err.getvalue()
+    lines = err.splitlines()
+    # The shape of each exit code, as the contract's ARGV rows pin it per case.
+    if rc == 2:
+        assert out == "" and re.match(r"(spincat( \w+)?: )?error: ", lines[-1])
+    elif rc == 3:
+        assert out == "" and err == lines[0] + "\n" and lines[0].startswith(("state file error: ", "I/O error: "))
+    elif rc == 1:
+        assert argv[0] == "noon" and err == lines[0] + "\n" and lines[0].startswith("self-check failed: ")
+    else:
+        assert rc == 0 and (err == "" or argv[0] == "verify")

@@ -1,20 +1,28 @@
-"""The input contract of the public API, as one table.
+"""The input contract of spincat's library, command line and state files, as tables.
 
-Each public name in `spincat`, and each public callable its library
-modules define, that takes a size, a real, an axis, a choice or a j is
-called with adversarial values (bool, a float size, a negative, NaN, +-inf,
-an int past the float range or too long to print, an array for a scalar, a
-wrong axis, a mismatched j, a j that is not a HalfInteger), and each call
-expects one documented exception type, with warnings as errors so that
-nothing warns before it refuses.  Valid edge values (numpy scalars, 0-d
-arrays, an empty phase array, N = 1, 2j = 0) sit in the same table and must
-pass.  Sizes, reals and choices are refused by the three rules in
-`spincat.errors`, a j by `halfint._spin`; the table holds the public names
-to them, and `test_every_public_name_has_a_row_or_is_listed` holds every
-public name to the table.
+`REFUSED` pairs each public name in `spincat`, and each public callable its
+library modules define, that takes a size, a real, an axis, a choice or a j
+with adversarial values (bool, a float size, a negative, NaN, +-inf, an int
+past the float range or too long to print, an array for a scalar, a wrong
+axis, a mismatched j, a j that is not a HalfInteger), and each call expects
+one documented exception type, with warnings as errors so that nothing warns
+before it refuses.  Valid edge values (numpy scalars, 0-d arrays, an empty
+phase array, N = 1, 2j = 0) sit in `ACCEPTED` and must pass.  Sizes, reals
+and choices are refused by the three rules in `spincat.errors`, a j by
+`halfint._spin`.
+
+`ARGV` holds `spincat`'s refused command lines: each exits with its code and
+one error line, prints nothing to stdout and writes no file.  `STATE_FILE`
+holds the refused state files: each loader raises `StateFileError` with its
+message, and `spincat husimi --in` prints that message and exits 3.  The
+completeness tests hold every public name, every loader, every subcommand
+and every file argument to a row.
 """
+import argparse
 import importlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +39,7 @@ from spincat import (
     PoleLabel,
     SpinorLabel,
     SpinState,
+    StateFileError,
     TwoModeState,
     ZeroSpin,
     as_label,
@@ -56,6 +65,8 @@ from spincat import (
     verify_schwinger_realization,
     weight_state,
 )
+from spincat import cli
+from spincat.statefile import SPIN_SCHEMA, TWO_MODE_SCHEMA, load_spin_state, load_state, load_two_mode_state, save_state
 from spincat.verify import run_suite
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -66,19 +77,17 @@ OTHER_J = coherent_expansion(J3, 0.3 + 0.4j)
 NAN, INF = math.nan, math.inf
 
 # Public names that take no size, real, axis, choice or j of their own: a
-# state or a direction alone, each checked where it is built, a record of
-# values the library computed, or a file path, whose refusals
-# `tests/test_statefile.py` holds.
+# state or a direction alone, each checked where it is built, or a record of
+# values the library computed.
 NO_SUCH_INPUT = {
     "mean_spin", "spin_to_fock", "fock_to_spin", "off_support_mass", "quantum_fisher_information",  # a state
     "stereographic",  # a BlochDirection
     "all_passed",  # verify's CheckResults
     "CatDecomposition", "CatScanRow", "ScalingRow", "CheckResult",  # records
-    "save_state", "load_state", "load_spin_state", "load_two_mode_state",  # a path
 }
 
-# The library modules whose public callables the table covers; `cli` is held
-# to its exit codes by `tests/test_cli.py`'s argv fuzz test instead.
+# The library modules whose public callables the tables cover; `cli` is held
+# to its exit codes by the `ARGV` table instead.
 LIBRARY_MODULES = [
     importlib.import_module(f"spincat.{name}")
     for name in ("halfint", "su2", "coherent", "dynamics", "schwinger", "metrology", "statefile", "verify")
@@ -224,6 +233,7 @@ REFUSED = [
     ("weight_state", "2m of 5001 digits", lambda: weight_state(J4, 10**5000), ValueError, "2m=an int of 5001 digits is not a weight"),
     ("husimi_grid", "n_theta of 5001 digits", lambda: husimi_grid(STATE, -10**5000, 3), ValueError, "n_theta .* got a negative int of 5001 digits"),
     ("make_noon", "N of 5001 digits", lambda: make_noon(-10**5000), InvalidN, "got a negative int of 5001 digits"),
+    ("save_state", "ndarray", lambda: save_state(np.zeros(3), os.devnull), TypeError, "cannot serialize ndarray"),
 ]
 
 # Every name that takes a j, called with an int, None and a float for it:
@@ -307,6 +317,126 @@ ACCEPTED = [
     ("run_suite", "numpy int", lambda: run_suite(np.int64(2))),
 ]
 
+POLE = "error: need a label off the poles so the two components differ"
+
+# (subcommand, case, the arguments after it, exit code, the line stderr ends
+# with).  "{dir}" is a directory holding spin.json, a spin state of 2j = 1.
+ARGV = [
+    ("", "no command", "", 2, "spincat: error: the following arguments are required: command"),
+    ("frobnicate", "unknown command", "", 2, "spincat: error: argument command: invalid choice: 'frobnicate' (choose from 'coherent', 'cat', 'noon', 'husimi', 'scan', 'metrology', 'verify')"),
+    ("coherent", "no --out", "--twice-j 2 --gamma 1", 2, "spincat coherent: error: the following arguments are required: --out"),
+    ("coherent", "negative 2j", "--twice-j -1 --gamma 1 --out {dir}/o.json", 2, "spincat coherent: error: argument --twice-j: value must be an integer >= 0, got -1"),
+    ("coherent", "NaN gamma", "--twice-j 2 --gamma nan --out {dir}/o.json", 2, "spincat coherent: error: argument --gamma: complex number 'nan' has a NaN part"),
+    # complex("1e400") is infinite, but only an infinity spelled out names the pole.
+    ("coherent", "gamma past the float range", "--twice-j 2 --gamma=1e400 --out {dir}/o.json", 2, "spincat coherent: error: argument --gamma: '1e400' is past the float range, so it is not finite"),
+    # 2j + 1 floats past any address space, though numpy can describe the
+    # array: the binomial table is allocated before its exact loop, so
+    # numpy's MemoryError comes at once, not after 10^17 big-int steps.
+    ("coherent", "2j past memory", "--twice-j 100000000000000000 --gamma 1 --out {dir}/o.json", 2, "error: out of memory for this size"),
+    ("cat", "inf omega", "--twice-j 4 --gamma 0+1i --omega inf --out {dir}/o.json", 2, "spincat cat: error: argument --omega: value inf is not finite"),
+    ("cat", "overflowing omega", "--twice-j 2 --gamma 1 --omega 1e308 --out {dir}/o.json", 2, "error: omega=1e+308 makes the quarter-period phase overflow at j=1"),
+    ("cat", "gamma 0", "--twice-j 4 --gamma=0 --out {dir}/o.json", 2, POLE),
+    ("cat", "gamma inf", "--twice-j 4 --gamma inf --out {dir}/o.json", 2, POLE),
+    # A label within rounding of a pole: its two components coincide to rounding.
+    ("cat", "gamma within rounding of 0", "--twice-j 4 --gamma=1e-16 --out {dir}/o.json", 2, POLE),
+    ("cat", "theta within rounding of 0", "--twice-j 40 --theta 1e-17 --out {dir}/o.json", 2, POLE),
+    ("cat", "2j = 0", "--twice-j 0 --gamma 1 --out {dir}/o.json", 2, "error: j = 0 has no twisting dynamics"),
+    ("noon", "N = 0", "--n 0 --out {dir}/o.json", 2, "spincat noon: error: argument --n: value must be an integer >= 1, got 0"),
+    ("noon", "NaN omega", "--n 4 --omega nan --out {dir}/o.json", 2, "spincat noon: error: argument --omega: value nan is not finite"),
+    ("noon", "overflowing omega", "--n 4 --omega 1e308 --out {dir}/o.json", 2, "error: omega=1e+308 makes the quarter-period phase overflow at j=2"),
+    ("noon", "N past memory", "--n 100000000000000000 --out {dir}/o.json", 2, "error: out of memory for this size"),
+    # Past the longest complex array numpy can describe, numpy raises
+    # ValueError rather than MemoryError, and exact binomials never finish;
+    # the size is refused before anything runs.
+    ("noon", "N past the index range", "--n 100000000000000000000000 --out {dir}/o.json", 2, f"spincat noon: error: argument --n: must be < {cli._MAX_LENGTH}, got 100000000000000000000000"),
+    ("husimi", "n_theta past the index range", "--in {dir}/spin.json --n-theta 100000000000000000000 --n-phi 1", 2, f"spincat husimi: error: argument --n-theta: must be < {cli._MAX_LENGTH}, got 100000000000000000000"),
+    ("husimi", "n_theta 1", "--in {dir}/spin.json --n-theta 1", 2, "spincat husimi: error: argument --n-theta: value must be an integer >= 2, got 1"),
+    ("husimi", "n_phi 0", "--in {dir}/spin.json --n-phi 0", 2, "spincat husimi: error: argument --n-phi: value must be an integer >= 1, got 0"),
+    ("scan", "NaN omega", "--twice-j-list 2 --omega nan", 2, "spincat scan: error: argument --omega: value nan is not finite"),
+    ("scan", "overflowing omega", "--twice-j-list 2 --omega 1e308", 2, "error: omega=1e+308 makes the quarter-period phase overflow at j=1"),
+    ("scan", "negative 2j in the list", "--twice-j-list 2,-1", 2, "spincat scan: error: argument --twice-j-list: value must be an integer >= 0, got -1"),
+    ("scan", "gamma 0", "--twice-j-list 2 --gamma=0", 2, POLE),
+    ("scan", "gamma inf", "--twice-j-list 2 --gamma inf", 2, POLE),
+    ("scan", "gamma within rounding of 0", "--twice-j-list 4,40 --gamma=1e-16 --out {dir}/o.csv", 2, POLE),
+    ("scan", "gamma within rounding of 0, to stdout", "--twice-j-list 4,40 --gamma=1e-16", 2, POLE),
+    ("scan", "2j = 0", "--twice-j-list 0", 2, "error: j = 0 has no twisting dynamics"),
+    ("metrology", "N = 0 in the list", "--n-list 0,2", 2, "spincat metrology: error: argument --n-list: value must be an integer >= 1, got 0"),
+    ("metrology", "N past the index range", "--n-list 1000000000000000000", 2, f"spincat metrology: error: argument --n-list: must be < {cli._MAX_LENGTH}, got 1000000000000000000"),
+    ("metrology", "N far past the index range", "--n-list 100000000000000000000000", 2, f"spincat metrology: error: argument --n-list: must be < {cli._MAX_LENGTH}, got 100000000000000000000000"),
+    ("verify", "negative 2j", "--max-twice-j -5", 2, "spincat verify: error: argument --max-twice-j: value must be an integer >= 0, got -5"),
+]
+# A label a handler refuses goes through its subcommand's parser, like argparse's own errors.
+ARGV += [
+    (command, case, f"--twice-j 4 {label} --out {{dir}}/o.json", 2, f"spincat {command}: error: {message}")
+    for command in ("coherent", "cat")
+    for case, label, message in (
+        ("NaN theta", "--theta nan", "theta=nan outside [0, pi]"),
+        ("theta 4", "--theta 4", "theta=4.0 outside [0, pi]"),
+        ("inf phi", "--theta 1 --phi inf", "phi inf is not finite"),
+        ("theta and gamma", "--theta 1 --gamma 0+1i", "give exactly one of --theta [--phi] or --gamma"),
+        ("no label", "", "give exactly one of --theta [--phi] or --gamma"),
+    )
+]
+# Every writer lets the OSError reach main, which alone maps it to exit 3.
+ARGV += [
+    (command, "unwritable --out", f"{args} --out {{dir}}/missing/o.dat", 3, "I/O error: [Errno 2] No such file or directory: '{dir}/missing/o.dat'")
+    for command, args in (
+        ("coherent", "--twice-j 2 --gamma 1"),
+        ("cat", "--twice-j 4 --gamma 0+1i"),
+        ("noon", "--n 4"),
+        ("husimi", "--in {dir}/spin.json --n-theta 3 --n-phi 2"),
+        ("scan", "--twice-j-list 2"),
+        ("metrology", "--n-list 1,2"),
+    )
+]
+
+
+def _doc(amplitudes, schema=SPIN_SCHEMA, size=1):
+    """A state file's text; `size` is its 2j, or its N for a two-mode schema."""
+    key = "n_total" if schema == TWO_MODE_SCHEMA else "twice_j"
+    return json.dumps({"schema_version": schema, key: size, "amplitudes": amplitudes})
+
+
+ONE = [[1.0, 0.0], [0.0, 0.0]]
+
+# (loader, case, the file's text or None for no file, the StateFileError
+# message).  "{path}" is the file's path.
+STATE_FILE = [
+    (load_state, "no file", None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    (load_state, "not JSON", "not json at all {", "{path} is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+    (load_state, "a JSON array", "[]", "top-level JSON value must be an object"),
+    (load_state, "an empty object", "{}", "unknown schema_version: None"),
+    (load_state, "unknown schema", _doc(ONE, "spin-state/9"), "unknown schema_version: 'spin-state/9'"),
+    (load_state, "a pair short", _doc(ONE, size=2), "expected 3 amplitude pairs, got 2"),
+    (load_state, "an int past the float range", _doc([[10**400, 0], [0.0, 0.0]]), "malformed amplitude entry: int too large to convert to float"),
+    (load_state, "spin norm 5", _doc([[5.0, 0.0], [0.0, 0.0]]), "invalid state: state norm 5.0 is not 1 within 1e-09"),
+    (load_state, "two-mode norm 0.99", _doc([[0.7, 0.0], [0.7, 0.0]], TWO_MODE_SCHEMA), "invalid state: state norm 0.9899494936611665 is not 1 within 1e-09"),
+    (load_spin_state, "a two-mode state", _doc(ONE, TWO_MODE_SCHEMA), "{path} holds a two-mode-state/1 state, need spin-state/1"),
+    (load_two_mode_state, "a spin state", _doc(ONE), "{path} holds a spin-state/1 state, need two-mode-state/1"),
+]
+# Entries that are not two JSON numbers, though float() may accept their parts.
+STATE_FILE += [
+    (load_state, f"entry {entry!r}", _doc([entry, [0.0, 0.0]]), f"malformed amplitude entry {entry!r}: need [re, im], two JSON numbers")
+    for entry in ([1.0], ["x", 0.0], "10", [True, False], ["1", "0"])
+]
+STATE_FILE += [
+    (load_state, f"{key} {size!r}", _doc(ONE, schema, size), f"{key} must be an integer >= 0, got {size!r}")
+    for schema, key in ((SPIN_SCHEMA, "twice_j"), (TWO_MODE_SCHEMA, "n_total"))
+    for size in (True, 2.0, "2", None, -1)
+]
+# json writes NaN and +-inf as NaN / Infinity / -Infinity and reads them
+# back; 1e200 is finite, but its square is not, and no overflow warning escapes.
+STATE_FILE += [
+    (load_state, f"{schema} {bad} {part}", _doc([[1.0, 0.0], [bad, 0.0] if part == "re" else [0.0, bad]], schema), "invalid state: non-finite entries")
+    for schema in (SPIN_SCHEMA, TWO_MODE_SCHEMA)
+    for bad in (NAN, INF, -INF)
+    for part in ("re", "im")
+]
+STATE_FILE += [
+    (load_state, f"{schema} 1e200", _doc([[0.0, 1e200], [0.0, 0.0]], schema), "invalid state: state norm inf is not 1 within 1e-09")
+    for schema in (SPIN_SCHEMA, TWO_MODE_SCHEMA)
+]
+
 # A row's test id starts with its public name, except that
 # error_propagation_uncertainty's rows go by the quantity it returns, the
 # phase uncertainty: their ids stay short and keep the names these cases
@@ -340,6 +470,58 @@ def test_every_public_name_has_a_row_or_is_listed():
         for name, obj in named
         if not name.startswith("_") and callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception))
     }
-    covered = {row[0] for row in REFUSED + ACCEPTED}
+    covered = {row[0] for row in REFUSED + ACCEPTED} | {row[0].__name__ for row in STATE_FILE}
     assert covered <= public
     assert public - covered == NO_SUCH_INPUT
+
+
+def test_every_subcommand_has_a_usage_row_and_every_file_argument_an_io_row():
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    commands = subparsers.choices
+    assert set(commands) <= {row[0] for row in ARGV if row[3] == 2}
+    with_files = {name for name, p in commands.items() if {"--in", "--out"} & set(p._option_string_actions)}
+    assert with_files <= {row[0] for row in ARGV if row[3] == 3}
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [pytest.param([*row[0].split(), *row[2].split()], *row[3:], id=f"{row[0] or 'spincat'}-{row[1]}") for row in ARGV],
+)
+def test_a_refused_argv_exits_with_its_documented_code(tmp_path, capsys, argv, code, line):
+    (tmp_path / "spin.json").write_text(_doc(ONE))
+    rc = cli.main([arg.format(dir=tmp_path) for arg in argv])
+    out, err = capsys.readouterr()
+    line = line.format(dir=tmp_path)
+    assert (rc, out, err.splitlines()[-1]) == (code, "", line)
+    assert "Traceback" not in err
+    if line.startswith("spincat"):  # argparse's usage, then "spincat <command>: error:"
+        assert err.startswith(f"usage: {line.partition(':')[0]} ")
+    else:
+        assert err == line + "\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["spin.json"]
+
+
+def _state_file(tmp_path, text):
+    path = tmp_path / "state.json"
+    if text is not None:
+        path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("load, text, message", [pytest.param(row[0], *row[2:], id=f"{row[0].__name__}-{row[1]}") for row in STATE_FILE])
+def test_a_refused_state_file_raises_state_file_error(tmp_path, load, text, message):
+    path = _state_file(tmp_path, text)
+    with pytest.raises(StateFileError) as info:
+        load(path)
+    assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [pytest.param(*row[2:], id=f"{row[0].__name__}-{row[1]}") for row in STATE_FILE if row[0] is not load_two_mode_state],
+)
+def test_husimi_exits_3_on_a_refused_state_file(tmp_path, capsys, text, message):
+    path = _state_file(tmp_path, text)
+    rc = cli.main(["husimi", "--in", str(path), "--out", str(tmp_path / "q.csv")])
+    assert (rc, *capsys.readouterr()) == (3, "", f"state file error: {message.format(path=path)}\n")
+    assert not (tmp_path / "q.csv").exists()
